@@ -10,7 +10,7 @@
 
 #include "common/rng.h"
 #include "core/calibrate.h"
-#include "erasure/codec.h"
+#include "erasure/codec_family.h"
 #include "gf/gf256.h"
 #include "gf/gf256_kernels.h"
 
@@ -104,10 +104,10 @@ void BM_RsEncode(benchmark::State& state) {
   const std::uint32_t k = static_cast<std::uint32_t>(state.range(0));
   const std::uint32_t r = static_cast<std::uint32_t>(state.range(1));
   const std::size_t block_size = static_cast<std::size_t>(state.range(2));
-  ReedSolomonCodec codec(k, r);
+  const auto codec = GetCodecFamily(CodecSpec{CodecFamilyId::kRs, k, r, 0});
   const auto block = RandomBlock(block_size, 3);
   for (auto _ : state) {
-    auto chunks = codec.Encode(block);
+    auto chunks = codec->Encode(block);
     benchmark::DoNotOptimize(chunks.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -121,12 +121,12 @@ BENCHMARK(BM_RsEncode)
 
 void BM_RsDecodeSystematic(benchmark::State& state) {
   const std::size_t block_size = static_cast<std::size_t>(state.range(0));
-  ReedSolomonCodec codec(2, 2);
+  const auto codec = GetCodecFamily(ParseCodecSpec("rs(2,2)"));
   const auto block = RandomBlock(block_size, 4);
-  const auto chunks = codec.Encode(block);
+  const auto chunks = codec->Encode(block);
   const std::vector<IndexedChunk> use = {{0, chunks[0]}, {1, chunks[1]}};
   for (auto _ : state) {
-    auto decoded = codec.Decode(use, block_size);
+    auto decoded = codec->Decode(use, block_size);
     benchmark::DoNotOptimize(decoded.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -138,12 +138,12 @@ void BM_RsDecodeWithParity(benchmark::State& state) {
   // The decode path that involves matrix inversion + GF arithmetic; its
   // MB/s calibrates ECStoreConfig::decode_bytes_per_ms.
   const std::size_t block_size = static_cast<std::size_t>(state.range(0));
-  ReedSolomonCodec codec(2, 2);
+  const auto codec = GetCodecFamily(ParseCodecSpec("rs(2,2)"));
   const auto block = RandomBlock(block_size, 5);
-  const auto chunks = codec.Encode(block);
+  const auto chunks = codec->Encode(block);
   const std::vector<IndexedChunk> use = {{2, chunks[2]}, {3, chunks[3]}};
   for (auto _ : state) {
-    auto decoded = codec.Decode(use, block_size);
+    auto decoded = codec->Decode(use, block_size);
     benchmark::DoNotOptimize(decoded.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -153,10 +153,10 @@ BENCHMARK(BM_RsDecodeWithParity)->Arg(100 * 1024)->Arg(1024 * 1024);
 
 void BM_ReplicationEncode(benchmark::State& state) {
   const std::size_t block_size = static_cast<std::size_t>(state.range(0));
-  ReplicationCodec codec(2);
+  const auto codec = GetCodecFamily(ParseCodecSpec("rep(2)"));
   const auto block = RandomBlock(block_size, 6);
   for (auto _ : state) {
-    auto copies = codec.Encode(block);
+    auto copies = codec->Encode(block);
     benchmark::DoNotOptimize(copies.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

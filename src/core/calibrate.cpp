@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "erasure/codec.h"
+#include "erasure/codec_family.h"
 #include "gf/gf256_kernels.h"
 
 namespace ecstore {
@@ -45,7 +45,7 @@ CodingCalibration MeasureCodingThroughput(std::uint32_t k, std::uint32_t r,
   if (block_bytes == 0) {
     throw std::invalid_argument("MeasureCodingThroughput: block_bytes == 0");
   }
-  ReedSolomonCodec codec(k, r);
+  const auto codec = GetCodecFamily(CodecSpec{CodecFamilyId::kRs, k, r, 0});
   Rng rng(42);
   std::vector<std::uint8_t> block(block_bytes);
   for (auto& b : block) b = static_cast<std::uint8_t>(rng.NextBounded(256));
@@ -54,9 +54,9 @@ CodingCalibration MeasureCodingThroughput(std::uint32_t k, std::uint32_t r,
   out.kernel = gf::ActiveKernels().name;
 
   out.encode_bytes_per_ms = MeasureBytesPerMs(
-      block_bytes, min_measure_ms, [&] { codec.Encode(block); });
+      block_bytes, min_measure_ms, [&] { codec->Encode(block); });
 
-  const auto chunks = codec.Encode(block);
+  const auto chunks = codec->Encode(block);
 
   // Parity-involving decode: take all r parity chunks plus the trailing
   // systematic chunks needed to reach k, so the general (matrix-inverse)
@@ -70,7 +70,7 @@ CodingCalibration MeasureCodingThroughput(std::uint32_t k, std::uint32_t r,
   }
   out.decode_bytes_per_ms = MeasureBytesPerMs(
       block_bytes, min_measure_ms,
-      [&] { codec.Decode(parity_set, block_bytes); });
+      [&] { codec->Decode(parity_set, block_bytes); });
 
   // All-systematic reassembly (pure memcpy path).
   std::vector<IndexedChunk> systematic_set;
@@ -79,7 +79,7 @@ CodingCalibration MeasureCodingThroughput(std::uint32_t k, std::uint32_t r,
   }
   out.reassemble_bytes_per_ms = MeasureBytesPerMs(
       block_bytes, min_measure_ms,
-      [&] { codec.Decode(systematic_set, block_bytes); });
+      [&] { codec->Decode(systematic_set, block_bytes); });
 
   return out;
 }

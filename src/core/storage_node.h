@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "erasure/codec.h"
+#include "erasure/codec_family.h"
 
 namespace ecstore {
 

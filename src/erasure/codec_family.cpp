@@ -1,39 +1,18 @@
 #include "erasure/codec_family.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 
-#include "erasure/linear_codec.h"
 #include "gf/gf256.h"
+#include "gf/gf256_kernels.h"
+#include "gf/matrix.h"
 
 namespace ecstore {
-
-// ---------------------------------------------------------------------------
-// Base-class behavior shared by the MDS families.
-// ---------------------------------------------------------------------------
-
-bool CodecFamily::CanDecode(std::span<const ChunkIndex> indices) const {
-  // MDS default: any DataChunks() distinct valid chunks decode.
-  std::vector<bool> seen(TotalChunks(), false);
-  std::uint32_t distinct = 0;
-  for (const ChunkIndex c : indices) {
-    if (c >= TotalChunks() || seen[c]) continue;
-    seen[c] = true;
-    ++distinct;
-  }
-  return distinct >= DataChunks();
-}
-
-bool CodecFamily::IsTrivialDecode(std::span<const ChunkIndex> indices) const {
-  for (const ChunkIndex c : indices) {
-    if (c >= DataChunks()) return false;
-  }
-  return true;
-}
 
 std::vector<std::uint8_t> CodecFamily::Decode(
     std::span<const IndexedChunk> chunks, std::size_t block_size) const {
@@ -44,234 +23,415 @@ std::vector<std::uint8_t> CodecFamily::Decode(
   return std::move(*block);
 }
 
-std::optional<ChunkData> CodecFamily::DecodeAndReencode(
-    ChunkIndex target, std::span<const IndexedChunk> sources,
-    std::size_t block_size) const {
-  if (target >= TotalChunks()) return std::nullopt;
-  const auto block = TryDecode(sources, block_size);
-  if (!block) return std::nullopt;
-  auto chunks = Encode(*block);
-  return std::move(chunks[target]);
-}
-
 namespace {
 
-// ---------------------------------------------------------------------------
-// Replication: every chunk is a full copy.
-// ---------------------------------------------------------------------------
-
-class ReplicationFamily final : public CodecFamily {
+/// A 256-bit set of chunk indices (every index is < 256): O(1) duplicate
+/// screening without an allocation.
+class IndexSet {
  public:
-  using CodecFamily::CodecFamily;
-
-  std::uint32_t FaultTolerance() const override { return spec_.r; }
-
-  std::vector<ChunkData> Encode(
-      std::span<const std::uint8_t> block) const override {
-    std::vector<ChunkData> chunks(TotalChunks());
-    for (ChunkData& c : chunks) c.assign(block.begin(), block.end());
-    return chunks;
-  }
-
-  std::optional<std::vector<std::uint8_t>> TryDecode(
-      std::span<const IndexedChunk> chunks,
-      std::size_t block_size) const override {
-    for (const IndexedChunk& c : chunks) {
-      if (c.index >= TotalChunks()) continue;
-      if (c.data.size() != block_size) {
-        throw std::invalid_argument("rep: chunk size mismatch");
-      }
-      return std::vector<std::uint8_t>(c.data.begin(), c.data.end());
-    }
-    return std::nullopt;
-  }
-
-  bool IsTrivialDecode(std::span<const ChunkIndex>) const override {
+  /// Adds `i`; false when it was already present.
+  bool Insert(std::uint32_t i) {
+    std::uint64_t& word = bits_[i >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    if (word & bit) return false;
+    word |= bit;
     return true;
   }
-
-  std::optional<RepairPlan> PlanRepair(
-      ChunkIndex target, std::span<const ChunkIndex> available) const override {
-    if (target >= TotalChunks()) return std::nullopt;
-    ChunkIndex best = TotalChunks();
-    for (const ChunkIndex c : available) {
-      if (c >= TotalChunks() || c == target) continue;
-      best = std::min(best, c);
-    }
-    if (best == TotalChunks()) return std::nullopt;
-    return RepairPlan{{{best, 1}}, 1};
-  }
-
-  std::optional<ChunkData> RepairChunk(ChunkIndex target,
-                                       std::span<const IndexedChunk> sources,
-                                       std::size_t block_size) const override {
-    if (target >= TotalChunks()) return std::nullopt;
-    for (const IndexedChunk& c : sources) {
-      if (c.index >= TotalChunks() || c.index == target) continue;
-      if (c.data.size() != block_size) continue;
-      return c.data;
-    }
-    return std::nullopt;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Reed-Solomon: the MDS workhorse, wrapping the SIMD Cauchy codec.
-// ---------------------------------------------------------------------------
-
-class RsFamily final : public CodecFamily {
- public:
-  explicit RsFamily(const CodecSpec& spec)
-      : CodecFamily(spec), rs_(spec.k, spec.r) {}
-
-  std::uint32_t FaultTolerance() const override { return spec_.r; }
-
-  std::vector<ChunkData> Encode(
-      std::span<const std::uint8_t> block) const override {
-    return rs_.Encode(block);
-  }
-
-  std::optional<std::vector<std::uint8_t>> TryDecode(
-      std::span<const IndexedChunk> chunks,
-      std::size_t block_size) const override {
-    // The strict MDS decoder rejects duplicates and out-of-range indices;
-    // screen them out here so TryDecode only fails on a genuine shortage.
-    std::vector<bool> seen(TotalChunks(), false);
-    std::uint32_t distinct = 0;
-    bool clean = true;
-    for (const IndexedChunk& c : chunks) {
-      if (c.index >= TotalChunks() || seen[c.index]) {
-        clean = false;
-        continue;
-      }
-      seen[c.index] = true;
-      ++distinct;
-    }
-    if (distinct < DataChunks()) return std::nullopt;
-    if (clean) return rs_.Decode(chunks, block_size);
-    std::vector<IndexedChunk> cleaned;
-    cleaned.reserve(distinct);
-    std::fill(seen.begin(), seen.end(), false);
-    for (const IndexedChunk& c : chunks) {
-      if (c.index >= TotalChunks() || seen[c.index]) continue;
-      seen[c.index] = true;
-      cleaned.push_back(c);
-    }
-    return rs_.Decode(cleaned, block_size);
-  }
-
-  bool IsTrivialDecode(std::span<const ChunkIndex> indices) const override {
-    return rs_.IsTrivialDecode(indices);
-  }
-
-  std::optional<RepairPlan> PlanRepair(
-      ChunkIndex target, std::span<const ChunkIndex> available) const override {
-    if (target >= TotalChunks()) return std::nullopt;
-    std::vector<bool> have(TotalChunks(), false);
-    for (const ChunkIndex c : available) {
-      if (c < TotalChunks() && c != target) have[c] = true;
-    }
-    RepairPlan plan;
-    plan.reads.reserve(DataChunks());
-    // Ascending index prefers systematic chunks, keeping the rebuild a
-    // near-reassembly when the data survives.
-    for (ChunkIndex c = 0; c < TotalChunks(); ++c) {
-      if (!have[c]) continue;
-      plan.reads.push_back({c, 1});
-      if (plan.reads.size() == DataChunks()) return plan;
-    }
-    return std::nullopt;
-  }
-
-  std::optional<ChunkData> RepairChunk(ChunkIndex target,
-                                       std::span<const IndexedChunk> sources,
-                                       std::size_t block_size) const override {
-    return DecodeAndReencode(target, sources, block_size);
+  bool Contains(std::uint32_t i) const {
+    return (bits_[i >> 6] >> (i & 63)) & 1;
   }
 
  private:
-  ReedSolomonCodec rs_;
+  std::array<std::uint64_t, 4> bits_{};
+};
+
+/// One available chunk (or the same-sized piece of one) a decode reads.
+/// `data` is null when only the index matters (CanDecode, repair plans).
+struct ChunkView {
+  ChunkIndex index;
+  const gf::Elem* data;
+};
+
+/// Chunks of `chunks` with distinct indices below `n`, in arrival order.
+/// A decode throws on a chunk of the wrong size. A repair passes its
+/// target, which is skipped along with wrong-sized sources: repair reads
+/// are best effort.
+std::vector<ChunkView> Scan(std::span<const IndexedChunk> chunks,
+                            std::uint32_t n, std::size_t chunk_size,
+                            std::optional<ChunkIndex> repair_target = {}) {
+  std::vector<ChunkView> views;
+  views.reserve(std::min<std::size_t>(chunks.size(), n));
+  IndexSet seen;
+  for (const IndexedChunk& c : chunks) {
+    if (c.index >= n || c.index == repair_target) continue;
+    if (c.data.size() != chunk_size) {
+      if (repair_target) continue;
+      throw std::invalid_argument("CodecFamily: chunk size mismatch");
+    }
+    if (seen.Insert(c.index)) views.push_back({c.index, c.data.data()});
+  }
+  return views;
+}
+
+/// The distinct indices below `n` in `available`, less a repair target.
+IndexSet Survivors(std::span<const ChunkIndex> available, std::uint32_t n,
+                   ChunkIndex target) {
+  IndexSet have;
+  for (const ChunkIndex c : available) {
+    if (c < n && c != target) have.Insert(c);
+  }
+  return have;
+}
+
+// ---------------------------------------------------------------------------
+// The generator-matrix core every family runs on: chunks = G * data over
+// GF(2^8), G an n x k matrix whose unit rows (a single 1) store a data
+// split verbatim. Every G here is systematic: each data column has a
+// unit row.
+// ---------------------------------------------------------------------------
+
+class GeneratorCore {
+ public:
+  static constexpr std::uint32_t kNotUnit = ~0u;
+
+  explicit GeneratorCore(gf::Matrix generator)
+      : g_(std::move(generator)),
+        k_(static_cast<std::uint32_t>(g_.cols())),
+        n_(static_cast<std::uint32_t>(g_.rows())),
+        unit_col_(n_, kNotUnit),
+        data_row_(k_, kNotUnit),
+        row_tabs_(n_) {
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      std::uint32_t nonzero = 0, col = 0;
+      for (std::uint32_t j = 0; j < k_; ++j) {
+        if (g_.At(r, j) != 0) {
+          ++nonzero;
+          col = j;
+        }
+      }
+      if (nonzero == 1 && g_.At(r, col) == 1) {
+        unit_col_[r] = col;
+        if (data_row_[col] == kNotUnit) data_row_[col] = r;
+        continue;
+      }
+      // Split-nibble product tables for the row, built once per family
+      // instead of once per Encode call.
+      row_tabs_[r].resize(k_);
+      for (std::uint32_t j = 0; j < k_; ++j) {
+        gf::BuildMulTable(g_.At(r, j), row_tabs_[r][j]);
+      }
+    }
+    if (std::find(data_row_.begin(), data_row_.end(), kNotUnit) !=
+        data_row_.end()) {
+      throw std::invalid_argument("GeneratorCore: generator is not systematic");
+    }
+  }
+
+  std::size_t ChunkSize(std::size_t block_size) const {
+    return (block_size + k_ - 1) / k_;
+  }
+
+  /// out[0, len) = row `row` of G applied to the k data splits `data`: a
+  /// copy for a unit row, otherwise one fused pass over all k sources.
+  void ApplyRow(ChunkIndex row, const gf::Elem* const* data, gf::Elem* out,
+                std::size_t len) const {
+    if (unit_col_[row] != kNotUnit) {
+      if (len != 0) std::memcpy(out, data[unit_col_[row]], len);
+      return;
+    }
+    // The kernel overwrites its destination (accumulate=false), so `out`
+    // is never read.
+    gf::ActiveKernels().mul_add_multi(row_tabs_[row].data(), data, k_, out,
+                                      len, /*accumulate=*/false);
+  }
+
+  std::vector<ChunkData> Encode(std::span<const std::uint8_t> block) const {
+    const std::size_t chunk_size = ChunkSize(block.size());
+    std::vector<ChunkData> chunks(n_);
+    // Unit rows: a straight split of the block, zero-padded at the tail,
+    // copy-constructed from the block range in one pass.
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      if (unit_col_[r] == kNotUnit) continue;
+      const std::size_t offset = std::min(
+          static_cast<std::size_t>(unit_col_[r]) * chunk_size, block.size());
+      const std::size_t count = std::min(chunk_size, block.size() - offset);
+      chunks[r].reserve(chunk_size);
+      chunks[r].assign(block.begin() + offset, block.begin() + offset + count);
+      chunks[r].resize(chunk_size, 0);
+    }
+    std::vector<const gf::Elem*> data(k_);
+    for (std::uint32_t j = 0; j < k_; ++j) data[j] = chunks[data_row_[j]].data();
+    for (std::uint32_t r = 0; r < n_; ++r) {
+      if (unit_col_[r] != kNotUnit) continue;
+      chunks[r].resize(chunk_size);
+      ApplyRow(r, data.data(), chunks[r].data(), chunk_size);
+    }
+    return chunks;
+  }
+
+  /// True when the distinct unit rows among `rows` cover every column.
+  bool CoveredByUnitRows(std::span<const ChunkIndex> rows) const {
+    IndexSet covered;
+    std::uint32_t count = 0;
+    for (const ChunkIndex r : rows) {
+      if (r < n_ && unit_col_[r] != kNotUnit && covered.Insert(unit_col_[r])) {
+        ++count;
+      }
+    }
+    return count == k_;
+  }
+
+  /// The k views (of distinct in-range rows) a decode reads: one unit
+  /// row per column when they cover every column (reassembly, in column
+  /// order), otherwise the first linearly independent rows in scan
+  /// order. Empty when `views` do not span the data.
+  std::vector<ChunkView> Select(std::span<const ChunkView> views) const {
+    std::vector<ChunkView> out(k_);
+    IndexSet placed;
+    std::uint32_t covered = 0;
+    for (const ChunkView& v : views) {
+      const std::uint32_t col = unit_col_[v.index];
+      if (col != kNotUnit && placed.Insert(col)) {
+        out[col] = v;
+        ++covered;
+      }
+    }
+    if (covered == k_) return out;
+    // Greedy rank building: reduce each candidate row against the basis
+    // so far (rows normalized to pivot 1, each with zeros at every
+    // earlier pivot) and keep it when something is left.
+    out.clear();
+    std::vector<gf::Elem> basis;  // Accepted reduced rows, k_ each.
+    std::vector<std::uint32_t> pivots;
+    basis.reserve(static_cast<std::size_t>(k_) * k_);
+    pivots.reserve(k_);
+    std::vector<gf::Elem> row(k_);
+    for (const ChunkView& v : views) {
+      for (std::uint32_t j = 0; j < k_; ++j) row[j] = g_.At(v.index, j);
+      for (std::size_t b = 0; b < pivots.size(); ++b) {
+        const gf::Elem f = row[pivots[b]];
+        if (f == 0) continue;
+        for (std::uint32_t j = 0; j < k_; ++j) {
+          row[j] = gf::Add(row[j], gf::Mul(f, basis[b * k_ + j]));
+        }
+      }
+      const auto pivot = std::find_if(row.begin(), row.end(),
+                                      [](gf::Elem e) { return e != 0; });
+      if (pivot == row.end()) continue;  // Dependent row.
+      const gf::Elem inv = gf::Inverse(*pivot);
+      for (gf::Elem& e : row) e = gf::Mul(e, inv);
+      pivots.push_back(static_cast<std::uint32_t>(pivot - row.begin()));
+      basis.insert(basis.end(), row.begin(), row.end());
+      out.push_back(v);
+      if (out.size() == k_) return out;
+    }
+    out.clear();
+    return out;
+  }
+
+  /// Recovers the data splits from `selected` (a Select result) into
+  /// out[0, out_len), where out_len <= k * chunk_size; a split past
+  /// out_len is dropped and one straddling it is truncated.
+  void Recover(std::span<const ChunkView> selected, std::size_t chunk_size,
+               gf::Elem* out, std::size_t out_len) const {
+    const bool reassembly =
+        std::all_of(selected.begin(), selected.end(), [&](const ChunkView& v) {
+          return unit_col_[v.index] != kNotUnit;
+        });
+    if (reassembly) {
+      for (const ChunkView& v : selected) {
+        const std::size_t offset =
+            static_cast<std::size_t>(unit_col_[v.index]) * chunk_size;
+        if (offset >= out_len) continue;
+        std::memcpy(out + offset, v.data, std::min(chunk_size, out_len - offset));
+      }
+      return;
+    }
+    // Invert the k x k submatrix of the selected rows; the product
+    // (inverse * selected chunks) yields the data splits.
+    std::vector<std::size_t> rows(k_);
+    std::vector<const gf::Elem*> srcs(k_);
+    for (std::uint32_t i = 0; i < k_; ++i) {
+      rows[i] = selected[i].index;
+      srcs[i] = selected[i].data;
+    }
+    gf::Matrix inverse = g_.SelectRows(rows);
+    if (!inverse.Invert()) {
+      // Select only returns independent rows; guard anyway.
+      throw std::runtime_error("GeneratorCore: singular decode matrix");
+    }
+    // Product tables for the inverse, built once per decode, then one
+    // fused pass per recovered data split.
+    std::vector<gf::MulTable> tabs(static_cast<std::size_t>(k_) * k_);
+    for (std::uint32_t i = 0; i < k_; ++i) {
+      for (std::uint32_t j = 0; j < k_; ++j) {
+        gf::BuildMulTable(inverse.At(i, j),
+                          tabs[static_cast<std::size_t>(i) * k_ + j]);
+      }
+    }
+    const auto& kernels = gf::ActiveKernels();
+    std::vector<gf::Elem> bounce;
+    for (std::uint32_t col = 0; col < k_; ++col) {
+      const std::size_t offset = static_cast<std::size_t>(col) * chunk_size;
+      if (offset >= out_len) continue;
+      const std::size_t count = std::min(chunk_size, out_len - offset);
+      // Splits that fit decode straight into `out`; only a truncated
+      // tail split needs the bounce buffer.
+      if (count != chunk_size) bounce.resize(chunk_size);
+      gf::Elem* dst = count == chunk_size ? out + offset : bounce.data();
+      kernels.mul_add_multi(tabs.data() + static_cast<std::size_t>(col) * k_,
+                            srcs.data(), k_, dst, chunk_size,
+                            /*accumulate=*/false);
+      if (count != chunk_size) std::memcpy(out + offset, bounce.data(), count);
+    }
+  }
+
+ private:
+  gf::Matrix g_;
+  std::uint32_t k_, n_;
+  std::vector<std::uint32_t> unit_col_;  // Per row: its column, or kNotUnit.
+  std::vector<std::uint32_t> data_row_;  // Per column: its first unit row.
+  std::vector<std::vector<gf::MulTable>> row_tabs_;  // Per non-unit row.
 };
 
 // ---------------------------------------------------------------------------
-// Azure-LRC(k, l, g): local XOR parities make single-chunk repair read a
-// group instead of k chunks; decodability is pattern-dependent.
+// LinearFamily: RS, replication and Azure-LRC — whole-chunk linear codes
+// that differ only in their generator. LRC adds one repair step: a chunk
+// in a placement group rebuilds from its group-mates, whose local parity
+// is their XOR.
 // ---------------------------------------------------------------------------
 
-class AzureLrcFamily final : public CodecFamily {
+class LinearFamily : public CodecFamily {
  public:
-  explicit AzureLrcFamily(const CodecSpec& spec)
-      : CodecFamily(spec), lrc_(spec.k, spec.l, spec.r) {
-    fault_tolerance_ = ComputeFaultTolerance();
+  LinearFamily(const CodecSpec& spec, gf::Matrix generator)
+      : CodecFamily(spec), core_(std::move(generator)) {
+    fault_tolerance_ = AnyKDecodes() ? TotalChunks() - DataChunks()
+                                     : WorstCaseFaultTolerance();
   }
 
   std::uint32_t FaultTolerance() const override { return fault_tolerance_; }
 
   std::vector<ChunkData> Encode(
       std::span<const std::uint8_t> block) const override {
-    return lrc_.Encode(block);
+    return core_.Encode(block);
   }
 
   bool CanDecode(std::span<const ChunkIndex> indices) const override {
-    return lrc_.codec().CanDecode(indices);
+    IndexSet seen;
+    std::vector<ChunkView> views;
+    for (const ChunkIndex c : indices) {
+      if (c < TotalChunks() && seen.Insert(c)) views.push_back({c, nullptr});
+    }
+    return !core_.Select(views).empty();
   }
 
   std::optional<std::vector<std::uint8_t>> TryDecode(
       std::span<const IndexedChunk> chunks,
       std::size_t block_size) const override {
-    return lrc_.TryDecode(chunks, block_size);
+    const std::size_t chunk_size = ChunkSize(block_size);
+    const auto selected =
+        core_.Select(Scan(chunks, TotalChunks(), chunk_size));
+    if (selected.empty()) return std::nullopt;
+    std::vector<std::uint8_t> block(block_size);
+    core_.Recover(selected, chunk_size, block.data(), block_size);
+    return block;
+  }
+
+  bool IsTrivialDecode(std::span<const ChunkIndex> indices) const override {
+    return core_.CoveredByUnitRows(indices);
   }
 
   std::optional<RepairPlan> PlanRepair(
       ChunkIndex target, std::span<const ChunkIndex> available) const override {
     if (target >= TotalChunks()) return std::nullopt;
-    std::vector<bool> have(TotalChunks(), false);
-    for (const ChunkIndex c : available) {
-      if (c < TotalChunks() && c != target) have[c] = true;
-    }
-    // Cheap path: the target's whole local group survives.
-    if (const auto local = lrc_.LocalRepairSet(target)) {
-      const bool covered = std::all_of(local->begin(), local->end(),
-                                       [&](ChunkIndex c) { return have[c]; });
-      if (covered) {
+    if (const auto mates = GroupMates(target)) {
+      const IndexSet have = Survivors(available, TotalChunks(), target);
+      if (std::all_of(mates->begin(), mates->end(),
+                      [&](ChunkIndex m) { return have.Contains(m); })) {
         RepairPlan plan;
-        plan.reads.reserve(local->size());
-        for (const ChunkIndex c : *local) plan.reads.push_back({c, 1});
+        for (const ChunkIndex m : *mates) plan.reads.push_back({m, 1});
         return plan;
       }
     }
-    // Fallback: whatever spanning k-subset a full decode would consume.
-    std::vector<ChunkIndex> avail;
-    avail.reserve(TotalChunks());
-    for (ChunkIndex c = 0; c < TotalChunks(); ++c) {
-      if (have[c]) avail.push_back(c);
-    }
-    const auto set = lrc_.codec().SelectDecodeSet(avail);
-    if (!set) return std::nullopt;
-    RepairPlan plan;
-    plan.reads.reserve(set->size());
-    for (const ChunkIndex c : *set) plan.reads.push_back({c, 1});
-    return plan;
+    return DecodePlan(target, available, 1);
   }
 
   std::optional<ChunkData> RepairChunk(ChunkIndex target,
                                        std::span<const IndexedChunk> sources,
                                        std::size_t block_size) const override {
     if (target >= TotalChunks()) return std::nullopt;
-    if (auto local = lrc_.RepairLocally(target, sources, block_size)) {
-      return local;
+    const std::size_t chunk_size = ChunkSize(block_size);
+    const auto views = Scan(sources, TotalChunks(), chunk_size, target);
+    if (const auto mates = GroupMates(target)) {
+      ChunkData out(chunk_size, 0);
+      std::size_t found = 0;
+      for (const ChunkView& v : views) {
+        if (std::find(mates->begin(), mates->end(), v.index) == mates->end()) {
+          continue;
+        }
+        gf::AddRegion(std::span<const gf::Elem>(v.data, chunk_size), out);
+        ++found;
+      }
+      if (found == mates->size()) return out;
     }
-    return lrc_.codec().ReconstructChunk(sources, target, block_size);
+    // Decode the padded data splits, then re-encode the target row.
+    const auto selected = core_.Select(views);
+    if (selected.empty()) return std::nullopt;
+    std::vector<gf::Elem> splits(chunk_size * DataChunks());
+    core_.Recover(selected, chunk_size, splits.data(), splits.size());
+    std::vector<const gf::Elem*> data(DataChunks());
+    for (std::uint32_t j = 0; j < DataChunks(); ++j) {
+      data[j] = splits.data() + j * chunk_size;
+    }
+    ChunkData out(chunk_size);
+    core_.ApplyRow(target, data.data(), out.data(), chunk_size);
+    return out;
   }
 
+ protected:
+  /// The plan a full decode of the survivors reads (the spanning set
+  /// Select picks over them in ascending order), each read `subchunks`
+  /// of `subchunks` pieces — a whole chunk.
+  std::optional<RepairPlan> DecodePlan(ChunkIndex target,
+                                       std::span<const ChunkIndex> available,
+                                       std::uint32_t subchunks) const {
+    if (target >= TotalChunks()) return std::nullopt;
+    const IndexSet have = Survivors(available, TotalChunks(), target);
+    std::vector<ChunkView> survivors;
+    for (ChunkIndex c = 0; c < TotalChunks(); ++c) {
+      if (have.Contains(c)) survivors.push_back({c, nullptr});
+    }
+    const auto selected = core_.Select(survivors);
+    if (selected.empty()) return std::nullopt;
+    RepairPlan plan;
+    plan.chunk_subchunks = subchunks;
+    plan.reads.reserve(selected.size());
+    for (const ChunkView& v : selected) plan.reads.push_back({v.index, subchunks});
+    return plan;
+  }
+
+  GeneratorCore core_;
+
  private:
-  /// Worst-case tolerated erasures, found by exhaustively erasing every
-  /// t-subset until some pattern stops decoding. LRC is small (k+l+g is
-  /// tens of chunks), so this stays cheap; absurd specs fall back to the
-  /// guaranteed g.
-  std::uint32_t ComputeFaultTolerance() const {
+  /// The other members of `target`'s placement group (ascending: data,
+  /// then the local parity), or nullopt when it has none.
+  std::optional<std::vector<ChunkIndex>> GroupMates(ChunkIndex target) const {
+    const auto group = PlacementGroupOf(spec_, target);
+    if (!group) return std::nullopt;
+    std::vector<ChunkIndex> mates;
+    for (ChunkIndex c = 0; c < TotalChunks(); ++c) {
+      if (c != target && PlacementGroupOf(spec_, c) == group) mates.push_back(c);
+    }
+    return mates;
+  }
+
+  /// Worst-case tolerated erasures of a non-MDS code, found by erasing
+  /// every t-subset until some pattern stops decoding. LRC is small
+  /// (k+l+g is tens of chunks), so this stays cheap; absurd specs fall
+  /// back to the guaranteed r.
+  std::uint32_t WorstCaseFaultTolerance() const {
     const std::uint32_t n = TotalChunks();
-    const std::uint32_t max_t = n - DataChunks();  // l + g
+    const std::uint32_t max_t = n - DataChunks();
     double combos = 0, c = 1;
     for (std::uint32_t t = 1; t <= max_t; ++t) {
       c = c * (n - t + 1) / t;
@@ -279,23 +439,18 @@ class AzureLrcFamily final : public CodecFamily {
     }
     if (combos > 2e5) return spec_.r;
 
-    std::vector<bool> gone(n, false);
     std::vector<ChunkIndex> survivors;
-    const auto decodable_without = [&](const std::vector<std::uint32_t>& erased) {
-      std::fill(gone.begin(), gone.end(), false);
-      for (const std::uint32_t e : erased) gone[e] = true;
-      survivors.clear();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (!gone[i]) survivors.push_back(i);
-      }
-      return lrc_.codec().CanDecode(survivors);
-    };
-
     for (std::uint32_t t = 1; t <= max_t; ++t) {
       std::vector<std::uint32_t> pick(t);
       std::iota(pick.begin(), pick.end(), 0u);
       while (true) {
-        if (!decodable_without(pick)) return t - 1;
+        survivors.clear();
+        for (ChunkIndex i = 0; i < n; ++i) {
+          if (std::find(pick.begin(), pick.end(), i) == pick.end()) {
+            survivors.push_back(i);
+          }
+        }
+        if (!CanDecode(survivors)) return t - 1;
         int i = static_cast<int>(t) - 1;
         while (i >= 0 && pick[i] == n - t + i) --i;
         if (i < 0) break;
@@ -306,69 +461,60 @@ class AzureLrcFamily final : public CodecFamily {
     return max_t;
   }
 
-  LrcCodec lrc_;
   std::uint32_t fault_tolerance_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Piggybacked RS(k, r), sub-packetization 2 (Rashmi et al.'s piggyback
-// framework): two RS substripes A and B share the stripe; parity j >= 1
-// of substripe B additionally absorbs the XOR of the A-subchunks of
-// piggy group j-1 (data chunk i rides group i % (r-1)). MDS on whole
-// chunks; a lost data chunk repairs from k-1 B-halves + the clean
-// parity's B-half + its group's A-halves + its piggy parity's B-half —
-// (k + group) half-chunks instead of 2k.
-// ---------------------------------------------------------------------------
-
-gf::Matrix BuildPiggybackGenerator(std::uint32_t k, std::uint32_t r) {
-  gf::Matrix m(k + r, k);
-  for (std::uint32_t i = 0; i < k; ++i) m.At(i, i) = 1;
-  // Cauchy parity rows with evaluation points disjoint from the data
-  // points, as in BuildLrcGenerator: the stacked code is MDS.
-  for (std::uint32_t t = 0; t < r; ++t) {
-    for (std::uint32_t j = 0; j < k; ++j) {
-      const gf::Elem x = static_cast<gf::Elem>(t);
-      const gf::Elem y = static_cast<gf::Elem>(r + j);
-      m.At(k + t, j) = gf::Inverse(gf::Add(x, y));
-    }
+/// Azure-LRC(k, l, g): RS(k, g)'s generator with one XOR row per local
+/// group inserted after the identity. The global rows' evaluation points
+/// are disjoint from the data points, so any g x g (and smaller) global
+/// submatrix is regular.
+gf::Matrix LrcGenerator(const CodecSpec& spec) {
+  const std::uint32_t k = spec.k, l = spec.l;
+  const gf::Matrix rs = gf::BuildSystematicCauchy(k, spec.r);
+  gf::Matrix m(k + l + spec.r, k);
+  for (std::uint32_t r = 0; r < rs.rows(); ++r) {
+    for (std::uint32_t j = 0; j < k; ++j) m.At(r < k ? r : r + l, j) = rs.At(r, j);
+  }
+  const std::uint32_t group = k / l;
+  for (std::uint32_t i = 0; i < l; ++i) {
+    for (std::uint32_t j = i * group; j < (i + 1) * group; ++j) m.At(k + i, j) = 1;
   }
   return m;
 }
 
-class PiggybackRsFamily final : public CodecFamily {
+/// (r+1)-way replication: every row copies the single data column.
+gf::Matrix ReplicationGenerator(std::uint32_t r) {
+  gf::Matrix m(r + 1, 1);
+  for (std::uint32_t i = 0; i <= r; ++i) m.At(i, 0) = 1;
+  return m;
+}
+
+// ---------------------------------------------------------------------------
+// Piggybacked RS(k, r), sub-packetization 2 (Rashmi et al.'s piggyback
+// framework): two RS(k, r) substripes A and B share the stripe, each
+// chunk holding its A-half then its B-half; parity j >= 1's B-half
+// additionally absorbs the XOR of the A-halves of piggy group j-1 (data
+// chunk i rides group i % (r-1)). MDS on whole chunks; a lost data chunk
+// repairs from k-1 B-halves + the clean parity's B-half + its group's
+// A-halves + its piggy parity's B-half — (k + group) half-chunks instead
+// of 2k. Whole-chunk decodability and trivial decodes are the base RS
+// code's.
+// ---------------------------------------------------------------------------
+
+class PiggybackRsFamily final : public LinearFamily {
  public:
   explicit PiggybackRsFamily(const CodecSpec& spec)
-      : CodecFamily(spec),
-        k_(spec.k),
-        r_(spec.r),
-        base_(BuildPiggybackGenerator(spec.k, spec.r)) {}
-
-  std::uint32_t FaultTolerance() const override { return r_; }
+      : LinearFamily(spec, gf::BuildSystematicCauchy(spec.k, spec.r)) {}
 
   std::vector<ChunkData> Encode(
       std::span<const std::uint8_t> block) const override {
     const std::size_t sub = ChunkSize(block.size()) / 2;
-    const std::size_t half_block = k_ * sub;
     // Substripe A carries block bytes [0, k*sub), B the rest (padded).
-    std::vector<std::uint8_t> a(half_block, 0), b(half_block, 0);
-    if (!block.empty()) {
-      std::memcpy(a.data(), block.data(), std::min(half_block, block.size()));
-    }
-    if (block.size() > half_block) {
-      std::memcpy(b.data(), block.data() + half_block,
-                  block.size() - half_block);
-    }
-    std::vector<ChunkData> ea = base_.Encode(a);  // chunk size == sub
-    std::vector<ChunkData> eb = base_.Encode(b);
-    // Piggybacks: B-parity 1+p absorbs the XOR of group p's A-subchunks
-    // (ea[i] is exactly data chunk i's A-half — systematic rows).
-    for (std::uint32_t i = 0; i < k_; ++i) {
-      gf::AddRegion(ea[i], eb[k_ + 1 + PiggyGroupOf(i)]);
-    }
+    std::vector<gf::Elem> stripe(2 * k() * sub, 0);
+    if (!block.empty()) std::memcpy(stripe.data(), block.data(), block.size());
     std::vector<ChunkData> out(TotalChunks());
-    for (std::uint32_t c = 0; c < TotalChunks(); ++c) {
-      out[c] = std::move(ea[c]);
-      out[c].insert(out[c].end(), eb[c].begin(), eb[c].end());
+    for (ChunkIndex c = 0; c < TotalChunks(); ++c) {
+      out[c] = EncodeChunk(c, stripe.data(), sub);
     }
     return out;
   }
@@ -377,98 +523,36 @@ class PiggybackRsFamily final : public CodecFamily {
       std::span<const IndexedChunk> chunks,
       std::size_t block_size) const override {
     const std::size_t cs = ChunkSize(block_size);
-    const std::size_t sub = cs / 2;
-    const std::size_t half_block = k_ * sub;
-
-    std::vector<const IndexedChunk*> sel;
-    sel.reserve(k_);
-    std::vector<bool> seen(TotalChunks(), false);
-    for (const IndexedChunk& c : chunks) {
-      if (c.index >= TotalChunks() || seen[c.index]) continue;
-      if (c.data.size() != cs) {
-        throw std::invalid_argument("pb: chunk size mismatch");
-      }
-      seen[c.index] = true;
-      sel.push_back(&c);
-      if (sel.size() == k_) break;
-    }
-    if (sel.size() < k_) return std::nullopt;
-
-    // Substripe A decodes straight from the A-halves.
-    std::vector<IndexedChunk> syms(k_);
-    for (std::uint32_t i = 0; i < k_; ++i) {
-      syms[i].index = sel[i]->index;
-      syms[i].data.assign(sel[i]->data.begin(), sel[i]->data.begin() + sub);
-    }
-    const auto a_dec = base_.TryDecode(syms, half_block);
-    if (!a_dec) return std::nullopt;  // Unreachable: k distinct MDS chunks.
-
-    // Substripe B: peel each selected piggy parity's piggyback (now
-    // computable from the decoded A-subchunks) before decoding.
-    for (std::uint32_t i = 0; i < k_; ++i) {
-      const ChunkIndex idx = sel[i]->index;
-      syms[i].data.assign(sel[i]->data.begin() + sub, sel[i]->data.end());
-      if (idx <= k_) continue;  // Data or the clean parity: no piggyback.
-      const std::uint32_t group = idx - k_ - 1;
-      for (std::uint32_t d = 0; d < k_; ++d) {
-        if (PiggyGroupOf(d) != group) continue;
-        gf::AddRegion(
-            std::span<const std::uint8_t>(a_dec->data() + d * sub, sub),
-            syms[i].data);
-      }
-    }
-    const auto b_dec = base_.TryDecode(syms, half_block);
-    if (!b_dec) return std::nullopt;
-
-    std::vector<std::uint8_t> block(block_size, 0);
-    std::memcpy(block.data(), a_dec->data(), std::min(half_block, block_size));
-    if (block_size > half_block) {
-      std::memcpy(block.data() + half_block, b_dec->data(),
-                  block_size - half_block);
-    }
-    return block;
+    const auto selected = core_.Select(Scan(chunks, TotalChunks(), cs));
+    if (selected.empty()) return std::nullopt;
+    std::vector<std::uint8_t> stripe(k() * cs);
+    RecoverStripe(selected, cs / 2, stripe.data());
+    stripe.resize(block_size);
+    return stripe;
   }
 
   std::optional<RepairPlan> PlanRepair(
       ChunkIndex target, std::span<const ChunkIndex> available) const override {
     if (target >= TotalChunks()) return std::nullopt;
-    std::vector<bool> have(TotalChunks(), false);
-    for (const ChunkIndex c : available) {
-      if (c < TotalChunks() && c != target) have[c] = true;
-    }
-    if (target < k_) {
+    const IndexSet have = Survivors(available, TotalChunks(), target);
+    if (CheapRepairable(target, [&](ChunkIndex c) { return have.Contains(c); })) {
       const std::uint32_t group = PiggyGroupOf(target);
-      const ChunkIndex piggy = k_ + 1 + group;
-      bool cheap = have[k_] && have[piggy];
-      for (std::uint32_t d = 0; d < k_ && cheap; ++d) {
-        if (d != target && !have[d]) cheap = false;
+      RepairPlan plan;
+      plan.chunk_subchunks = 2;
+      plan.reads.reserve(k() + 1);
+      for (std::uint32_t d = 0; d < k(); ++d) {
+        if (d == target) continue;
+        // Group-mates contribute both halves (their A-half feeds the
+        // piggyback peel, their B-half the substripe-B decode); the rest
+        // only their B-half.
+        plan.reads.push_back({d, PiggyGroupOf(d) == group ? 2u : 1u});
       }
-      if (cheap) {
-        RepairPlan plan;
-        plan.chunk_subchunks = 2;
-        plan.reads.reserve(k_ + 1);
-        for (std::uint32_t d = 0; d < k_; ++d) {
-          if (d == target) continue;
-          // Group-mates contribute both halves (their A-half feeds the
-          // piggyback peel, their B-half the substripe-B decode); the
-          // rest only their B-half.
-          plan.reads.push_back({d, PiggyGroupOf(d) == group ? 2u : 1u});
-        }
-        plan.reads.push_back({k_, 1});
-        plan.reads.push_back({piggy, 1});
-        return plan;
-      }
+      plan.reads.push_back({k(), 1});
+      plan.reads.push_back({PiggyParityOf(target), 1});
+      return plan;
     }
     // Parity repair, or a missing cheap source: whole-chunk MDS rebuild.
-    RepairPlan plan;
-    plan.chunk_subchunks = 2;
-    plan.reads.reserve(k_);
-    for (ChunkIndex c = 0; c < TotalChunks(); ++c) {
-      if (!have[c]) continue;
-      plan.reads.push_back({c, 2});
-      if (plan.reads.size() == k_) return plan;
-    }
-    return std::nullopt;
+    return DecodePlan(target, available, 2);
   }
 
   std::optional<ChunkData> RepairChunk(ChunkIndex target,
@@ -477,68 +561,124 @@ class PiggybackRsFamily final : public CodecFamily {
     if (target >= TotalChunks()) return std::nullopt;
     const std::size_t cs = ChunkSize(block_size);
     const std::size_t sub = cs / 2;
-    const std::size_t half_block = k_ * sub;
+    const auto views = Scan(sources, TotalChunks(), cs, target);
+    std::vector<const gf::Elem*> by_index(TotalChunks(), nullptr);
+    for (const ChunkView& v : views) by_index[v.index] = v.data;
 
-    std::vector<const IndexedChunk*> by_index(TotalChunks(), nullptr);
-    for (const IndexedChunk& c : sources) {
-      if (c.index >= TotalChunks() || c.index == target) continue;
-      if (c.data.size() != cs) continue;
-      if (!by_index[c.index]) by_index[c.index] = &c;
+    if (!CheapRepairable(target,
+                         [&](ChunkIndex c) { return by_index[c] != nullptr; })) {
+      // Whole-chunk decode, then re-encode the target.
+      const auto selected = core_.Select(views);
+      if (selected.empty()) return std::nullopt;
+      std::vector<gf::Elem> stripe(k() * cs);
+      RecoverStripe(selected, sub, stripe.data());
+      return EncodeChunk(target, stripe.data(), sub);
     }
-    if (target >= k_) return DecodeAndReencode(target, sources, block_size);
+
+    // Substripe B decodes from k clean B-halves: the other data chunks'
+    // plus the un-piggybacked parity k's.
+    std::vector<ChunkView> b_views;
+    b_views.reserve(k());
+    for (std::uint32_t d = 0; d < k(); ++d) {
+      if (d != target) b_views.push_back({d, by_index[d] + sub});
+    }
+    b_views.push_back({k(), by_index[k()] + sub});
+    std::vector<gf::Elem> b(k() * sub);
+    core_.Recover(b_views, sub, b.data(), b.size());
     const std::uint32_t group = PiggyGroupOf(target);
-    const ChunkIndex piggy = k_ + 1 + group;
-    bool cheap = by_index[k_] && by_index[piggy];
-    for (std::uint32_t d = 0; d < k_ && cheap; ++d) {
-      if (d != target && !by_index[d]) cheap = false;
-    }
-    if (!cheap) return DecodeAndReencode(target, sources, block_size);
+    const ChunkIndex piggy = PiggyParityOf(target);
 
-    // Substripe B decodes from k clean B-symbols: the other data chunks'
-    // B-halves plus the un-piggybacked parity k's B-half.
-    std::vector<IndexedChunk> syms;
-    syms.reserve(k_);
-    for (std::uint32_t d = 0; d < k_; ++d) {
-      if (d == target) continue;
-      syms.push_back({d, ChunkData(by_index[d]->data.begin() + sub,
-                                   by_index[d]->data.end())});
-    }
-    syms.push_back({k_, ChunkData(by_index[k_]->data.begin() + sub,
-                                  by_index[k_]->data.end())});
-    const auto b_dec = base_.TryDecode(syms, half_block);
-    if (!b_dec) return std::nullopt;  // Unreachable: k distinct MDS symbols.
-
-    ChunkData out(cs, 0);
-    std::memcpy(out.data() + sub, b_dec->data() + target * sub, sub);
-    // The piggy parity's stored B-half is P^b + piggyback; re-encode P^b
-    // from the decoded substripe, subtract, then peel the group-mates'
-    // A-halves to leave the target's A-half.
-    std::span<std::uint8_t> a_target(out.data(), sub);
-    gf::AddRegion(
-        std::span<const std::uint8_t>(by_index[piggy]->data.data() + sub, sub),
-        a_target);
-    for (std::uint32_t j = 0; j < k_; ++j) {
-      gf::MulAddRegion(
-          base_.generator().At(piggy, j),
-          std::span<const std::uint8_t>(b_dec->data() + j * sub, sub),
-          a_target);
-    }
-    for (std::uint32_t d = 0; d < k_; ++d) {
+    ChunkData out(cs);
+    if (sub != 0) std::memcpy(out.data() + sub, b.data() + target * sub, sub);
+    // The piggy parity's stored B-half is P^b + piggyback: re-encode P^b
+    // from the decoded substripe, add the stored half, then peel the
+    // group-mates' A-halves to leave the target's A-half.
+    std::vector<const gf::Elem*> b_splits(k());
+    for (std::uint32_t j = 0; j < k(); ++j) b_splits[j] = b.data() + j * sub;
+    core_.ApplyRow(piggy, b_splits.data(), out.data(), sub);
+    const std::span<gf::Elem> a_target(out.data(), sub);
+    gf::AddRegion(std::span<const gf::Elem>(by_index[piggy] + sub, sub),
+                  a_target);
+    for (std::uint32_t d = 0; d < k(); ++d) {
       if (d == target || PiggyGroupOf(d) != group) continue;
-      gf::AddRegion(
-          std::span<const std::uint8_t>(by_index[d]->data.data(), sub),
-          a_target);
+      gf::AddRegion(std::span<const gf::Elem>(by_index[d], sub), a_target);
     }
     return out;
   }
 
  private:
+  std::uint32_t k() const { return spec_.k; }
   std::uint32_t PiggyGroupOf(ChunkIndex data) const {
-    return data % (r_ - 1);
+    return data % (spec_.r - 1);
+  }
+  /// The parity whose B-half carries data chunk `data`'s piggyback.
+  ChunkIndex PiggyParityOf(ChunkIndex data) const {
+    return k() + 1 + PiggyGroupOf(data);
   }
 
-  std::uint32_t k_, r_;
-  LinearCodec base_;
+  /// True when `target` is a data chunk and `has` holds every source of
+  /// its half-chunk repair: the other data chunks, the clean parity k and
+  /// the target's piggy parity.
+  template <typename Has>
+  bool CheapRepairable(ChunkIndex target, Has has) const {
+    if (target >= k() || !has(k()) || !has(PiggyParityOf(target))) {
+      return false;
+    }
+    for (std::uint32_t d = 0; d < k(); ++d) {
+      if (d != target && !has(d)) return false;
+    }
+    return true;
+  }
+
+  /// Chunk `c` of the padded 2k-split stripe: its A-half from substripe
+  /// A, its B-half from substripe B plus any piggyback.
+  ChunkData EncodeChunk(ChunkIndex c, const gf::Elem* stripe,
+                        std::size_t sub) const {
+    std::vector<const gf::Elem*> a(k()), b(k());
+    for (std::uint32_t j = 0; j < k(); ++j) {
+      a[j] = stripe + j * sub;
+      b[j] = stripe + (k() + j) * sub;
+    }
+    ChunkData chunk(2 * sub);
+    core_.ApplyRow(c, a.data(), chunk.data(), sub);
+    core_.ApplyRow(c, b.data(), chunk.data() + sub, sub);
+    if (c <= k()) return chunk;  // Data or the clean parity: no piggyback.
+    const std::span<gf::Elem> b_half(chunk.data() + sub, sub);
+    for (std::uint32_t d = 0; d < k(); ++d) {
+      if (PiggyParityOf(d) == c) {
+        gf::AddRegion(std::span<const gf::Elem>(a[d], sub), b_half);
+      }
+    }
+    return chunk;
+  }
+
+  /// Recovers the padded stripe [A | B] (2k * sub bytes) from the k
+  /// whole chunks Select chose.
+  void RecoverStripe(std::span<const ChunkView> selected, std::size_t sub,
+                     gf::Elem* stripe) const {
+    const std::size_t half = k() * sub;
+    // Substripe A decodes straight from the A-halves.
+    core_.Recover(selected, sub, stripe, half);
+    // Substripe B: peel each selected piggy parity's piggyback (now
+    // computable from the decoded A-halves) before decoding.
+    std::vector<ChunkData> peeled;
+    peeled.reserve(selected.size());
+    std::vector<ChunkView> b_views;
+    b_views.reserve(selected.size());
+    for (const ChunkView& v : selected) {
+      if (v.index <= k()) {  // Data or the clean parity: no piggyback.
+        b_views.push_back({v.index, v.data + sub});
+        continue;
+      }
+      ChunkData& b = peeled.emplace_back(v.data + sub, v.data + 2 * sub);
+      for (std::uint32_t d = 0; d < k(); ++d) {
+        if (PiggyParityOf(d) != v.index) continue;
+        gf::AddRegion(std::span<const gf::Elem>(stripe + d * sub, sub), b);
+      }
+      b_views.push_back({v.index, b.data()});
+    }
+    core_.Recover(b_views, sub, stripe + half, half);
+  }
 };
 
 }  // namespace
@@ -547,11 +687,12 @@ std::unique_ptr<CodecFamily> MakeCodecFamily(const CodecSpec& spec) {
   ValidateCodecSpec(spec);
   switch (spec.family) {
     case CodecFamilyId::kReplication:
-      return std::make_unique<ReplicationFamily>(spec);
+      return std::make_unique<LinearFamily>(spec, ReplicationGenerator(spec.r));
     case CodecFamilyId::kRs:
-      return std::make_unique<RsFamily>(spec);
+      return std::make_unique<LinearFamily>(
+          spec, gf::BuildSystematicCauchy(spec.k, spec.r));
     case CodecFamilyId::kAzureLrc:
-      return std::make_unique<AzureLrcFamily>(spec);
+      return std::make_unique<LinearFamily>(spec, LrcGenerator(spec));
     case CodecFamilyId::kPiggybackRs:
       return std::make_unique<PiggybackRsFamily>(spec);
   }

@@ -1,13 +1,17 @@
 // CodecFamily: the pluggable codec-family abstraction (DESIGN.md §11).
 //
-// Unifies the MDS Codec (codec.h) and LinearCodec/LRC (linear_codec.h)
-// behind one interface whose core addition is the RepairPlan query:
-// given the surviving chunk indices and a rebuild target, return the
-// minimal set of chunks (and fractions of chunks) a reconstruction must
-// read. Full-k for Reed-Solomon, local-group-only for Azure-LRC, and a
+// One interface encodes, decodes and repairs every family. Its core
+// addition over plain encode/decode is the RepairPlan query: given the
+// surviving chunk indices and a rebuild target, return the minimal set
+// of chunks (and fractions of chunks) a reconstruction must read.
+// Full-k for Reed-Solomon, local-group-only for Azure-LRC, and a
 // sub-packetized half-chunk plan for the piggybacked-RS regenerating
 // family. RepairService, the scrubber, and degraded reads all consume
 // the plan instead of assuming MDS.
+//
+// Every family runs on one generator-matrix core (codec_family.cpp):
+// chunks = G * data over GF(2^8), with G built from
+// gf::BuildSystematicCauchy (replication's G is a column of ones).
 //
 // Implementations are stateless after construction and thread-compatible
 // (one instance may serve every thread); GetCodecFamily memoizes them so
@@ -21,9 +25,18 @@
 #include <vector>
 
 #include "common/codec_spec.h"
-#include "erasure/codec.h"
+#include "common/types.h"
 
 namespace ecstore {
+
+/// Bytes of a single encoded chunk.
+using ChunkData = std::vector<std::uint8_t>;
+
+/// A chunk paired with its index within the block's encoding.
+struct IndexedChunk {
+  ChunkIndex index = 0;
+  ChunkData data;
+};
 
 /// One read a repair plan asks for: `subchunks` of the chunk's
 /// RepairPlan::chunk_subchunks equal-sized pieces (whole chunk when they
@@ -94,10 +107,13 @@ class CodecFamily {
   virtual std::vector<ChunkData> Encode(
       std::span<const std::uint8_t> block) const = 0;
 
-  /// True iff the given distinct chunk indices determine the block.
-  virtual bool CanDecode(std::span<const ChunkIndex> indices) const;
+  /// True iff the given chunk indices determine the block. Duplicate
+  /// and out-of-range indices are ignored.
+  virtual bool CanDecode(std::span<const ChunkIndex> indices) const = 0;
 
   /// Reconstructs the block, or nullopt when the chunks do not span it.
+  /// Duplicate and out-of-range chunks are skipped; a chunk of the wrong
+  /// size throws std::invalid_argument.
   virtual std::optional<std::vector<std::uint8_t>> TryDecode(
       std::span<const IndexedChunk> chunks, std::size_t block_size) const = 0;
 
@@ -106,8 +122,9 @@ class CodecFamily {
                                    std::size_t block_size) const;
 
   /// True when decoding this chunk set is pure reassembly (no field
-  /// arithmetic) — the simulator's decode-cost switch.
-  virtual bool IsTrivialDecode(std::span<const ChunkIndex> indices) const;
+  /// arithmetic): its distinct systematic chunks cover every data chunk.
+  /// Decode takes its reassembly path exactly when this holds.
+  virtual bool IsTrivialDecode(std::span<const ChunkIndex> indices) const = 0;
 
   /// The cheapest plan that rebuilds `target` from (a subset of) the
   /// `available` surviving chunk indices, or nullopt when they cannot.
@@ -116,18 +133,13 @@ class CodecFamily {
       ChunkIndex target, std::span<const ChunkIndex> available) const = 0;
 
   /// Rebuilds chunk `target` from source chunks covering one of its
-  /// repair plans (extra sources are ignored). nullopt when the sources
-  /// are insufficient.
+  /// repair plans (extra sources, the target itself and sources of the
+  /// wrong size are ignored). nullopt when the sources are insufficient.
   virtual std::optional<ChunkData> RepairChunk(
       ChunkIndex target, std::span<const IndexedChunk> sources,
       std::size_t block_size) const = 0;
 
  protected:
-  /// Fallback repair for MDS-style families: decode, re-encode target.
-  std::optional<ChunkData> DecodeAndReencode(
-      ChunkIndex target, std::span<const IndexedChunk> sources,
-      std::size_t block_size) const;
-
   CodecSpec spec_;
 };
 
