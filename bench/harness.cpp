@@ -166,7 +166,7 @@ RunResult RunOnce(Technique technique, const ExperimentParams& params,
   config.cache_capacity_bytes =
       static_cast<std::uint64_t>(params.cache_mb * 1024 * 1024);
   config.cache_prefetch = params.prefetch;
-  config.replica_budget_bytes =
+  config.promotion.budget_bytes =
       static_cast<std::uint64_t>(params.replica_budget_mb * 1024 * 1024);
   config.overload.deadline_ms = params.deadline_ms;
   config.overload.admission = params.admission;

@@ -16,7 +16,11 @@
 # DESIGN.md §10): MultiGet x Put x FailSite x movement rounds against
 # shards=8 with a live ILP executor pool, and the overload-control suite
 # (overload_test): breakers, CoDel admission, brownout ladder, and the
-# shed/deadline integration in both embodiments.
+# shed/deadline integration in both embodiments. The ASan stage also runs
+# the embodiment parity test (parity_test).
+#
+# The default test lists below are the single source: CI calls each
+# stage with no regex override.
 #
 #   ./run_sanitizers.sh [asan|tsan|all] [ctest -R regex override]
 set -eu
@@ -25,7 +29,7 @@ STAGE="${1:-all}"
 status=0
 
 run_asan() {
-  local regex="${1:-gf_test|erasure_test|codec_family_test|core_test|cache_test|fault_test|chaos_test|shard_stress_test|tail_test|overload_test}"
+  local regex="${1:-gf_test|erasure_test|codec_family_test|core_test|cache_test|parity_test|fault_test|chaos_test|shard_stress_test|tail_test|overload_test}"
   local build=build-asan
   cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DECSTORE_SANITIZE=ON
   cmake --build "$build" -j"$(nproc)"

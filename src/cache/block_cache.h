@@ -10,9 +10,9 @@
 // Coherence is version-checked: entries record the block's ClusterState
 // coherence version at fill time, and Lookup revalidates against the live
 // version — a Put/Delete/move/repair/scrub rewrite bumps the version and
-// the stale entry self-invalidates on its next touch. The ControlPlane's
-// invalidation seam additionally evicts eagerly so stale bytes don't
-// linger against the capacity budget.
+// the stale entry self-invalidates on its next touch. The owning
+// ControlPlane additionally evicts eagerly on every plan invalidation so
+// stale bytes don't linger against the capacity budget.
 //
 // Thread-safety: every operation takes one internal mutex; handed-out
 // block bytes are shared_ptr<const vector> so a hit survives concurrent
@@ -79,7 +79,7 @@ class BlockCache {
   /// block is not resident.
   void UpdateWeight(BlockId id, double weight);
 
-  /// Explicit eager eviction (the ControlPlane invalidation seam).
+  /// Explicit eager eviction (ControlPlane::InvalidateBlock).
   /// Returns true if the block was resident.
   bool Invalidate(BlockId id);
 

@@ -5,9 +5,10 @@
 // an explicit storage-overhead budget.
 //
 // The promoter is pure policy + budget bookkeeping: it decides *which*
-// blocks change redundancy and accounts the extra bytes; the embodiment
-// executes the catalog/data rewrite (decode k chunks, re-store as rep(r))
-// inside its own movement round. Promotion state:
+// blocks change redundancy and accounts the extra bytes. The owning
+// ControlPlane runs the round (RunPromotionRound) from the movement round;
+// the embodiment executes only the catalog/data rewrite (decode k chunks,
+// re-store as rep(r)). Promotion state:
 //
 //     EC ──(freq ≥ promote_min_frequency, budget room)──▶ replicated
 //     replicated ──(freq < demote_frequency)──▶ EC (original spec)
@@ -60,7 +61,7 @@ class ReplicaPromoter {
     /// latency-bound small blocks (per-fetch overhead dominates) and
     /// *hurts* bandwidth-bound large ones, which keep their parallel
     /// EC fetch instead.
-    std::uint64_t max_block_bytes = 0;
+    std::uint64_t max_block_bytes = 256 * 1024;
   };
 
   explicit ReplicaPromoter(Params params) : params_(params) {}

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/promoter.h"
 #include "common/codec_spec.h"
 #include "common/types.h"
 #include "fault/retry.h"
@@ -196,21 +197,9 @@ struct ECStoreConfig {
 
   // --- Dynamic hybrid redundancy (DESIGN.md §12): the movement round
   // promotes the hottest EC blocks to full replicas and demotes cooled
-  // ones back, within this extra-storage budget. 0 disables promotion.
-  std::uint64_t replica_budget_bytes = 0;
-  /// Total copies a promoted block keeps (3 matches the R baseline).
-  std::uint32_t replica_copies = 3;
-  /// Promotion / demotion access-frequency thresholds (hysteresis).
-  double promote_min_frequency = 0.01;
-  double demote_frequency = 0.002;
-  /// Promotions executed per movement round at most.
-  std::size_t promote_per_round = 4;
-  /// Size gate: blocks larger than this never promote (0 = no gate). A
-  /// replica read is one whole-block fetch from a single site, so
-  /// promotion pays off for latency-bound small blocks while
-  /// bandwidth-bound large blocks are better served by their parallel
-  /// k-way EC fetch.
-  std::uint64_t promote_max_block_bytes = 256 * 1024;
+  // ones back, within promotion.budget_bytes of extra storage (0, the
+  // default, disables promotion). See ReplicaPromoter::Params.
+  ReplicaPromoter::Params promotion;
 
   // --- Tail model + adaptive late binding (DESIGN.md §13). Defaults keep
   // both off: no cost-value change, no extra RNG draws, bit-identical

@@ -72,6 +72,16 @@ ControlPlane::ControlPlane(const ECStoreConfig* config, ClusterState* state,
     shards_.push_back(
         std::make_unique<Shard>(config->co_access_window, per_shard_capacity));
   }
+  if (config->cache_capacity_bytes > 0) {
+    cache_ = std::make_unique<BlockCache>(config->cache_capacity_bytes);
+  }
+  if (config->promotion.budget_bytes > 0) {
+    promoter_ = std::make_unique<ReplicaPromoter>(config->promotion);
+  }
+  if (config->overload.Enabled()) {
+    overload_ =
+        std::make_unique<OverloadControl>(config->num_sites, config->overload);
+  }
 }
 
 std::size_t ControlPlane::TotalRequestsInWindow() const {
@@ -202,6 +212,134 @@ std::uint32_t ControlPlane::DeltaForStragglerFraction(double p) const {
     if (BinomialTailAbove(config_->k + d, d, p) <= eps) return d;
   }
   return cap;
+}
+
+void ControlPlane::EvaluateOverload(double now_ms) {
+  if (!overload_) return;
+  // Breakers feed on the same histograms the tail model keeps; the
+  // brownout ladder feeds on the admission controller's pressure.
+  for (SiteId j = 0; j < state_->num_sites(); ++j) {
+    overload_->EvaluateSite(j, SiteLatencyQuantileMs(j, 0.99),
+                            SiteLatencySamples(j), now_ms);
+  }
+  overload_->UpdateBrownout(now_ms);
+}
+
+ControlPlane::CacheSplit ControlPlane::SplitCached(
+    std::span<const BlockId> ids) {
+  CacheSplit split;
+  split.data.resize(ids.size());
+  split.misses.reserve(ids.size());
+  // Prefetch is the cheapest optional work and the first rung of the
+  // brownout ladder to go under pressure.
+  const bool prefetch = config_->cache_prefetch &&
+                        !(overload_ && overload_->brownout_level() >= 1);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const BlockId id = ids[i];
+    if (!cache_->Lookup(id, state_->BlockVersion(id), &split.data[i])) {
+      split.misses.push_back(id);
+      continue;
+    }
+    ++split.hits;
+    cache_->UpdateWeight(id, BlockAccessFrequency(id));
+    if (!prefetch) continue;
+    for (const CoAccessPartner& p :
+         CoAccessPartnersOf(id, config_->prefetch_max_partners)) {
+      if (p.lambda < config_->prefetch_min_lambda) break;  // λ descending.
+      if (std::find(ids.begin(), ids.end(), p.block) != ids.end()) {
+        continue;  // Already part of this request.
+      }
+      // BeginPrefetch dedups against resident entries and fills already
+      // in flight — at most one fill per block.
+      if (cache_->BeginPrefetch(p.block)) split.prefetch.push_back(p.block);
+    }
+  }
+  return split;
+}
+
+std::optional<std::vector<ControlPlane::CachedBytes>> ControlPlane::CachedOnly(
+    std::span<const BlockId> ids) {
+  if (!cache_ || !overload_ || overload_->brownout_level() < 3) {
+    return std::nullopt;
+  }
+  std::vector<CachedBytes> out(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!cache_->Lookup(ids[i], state_->BlockVersion(ids[i]), &out[i])) {
+      return std::nullopt;
+    }
+  }
+  return out;
+}
+
+void ControlPlane::FillCache(BlockId id, CachedBytes data, std::uint64_t bytes,
+                             std::uint64_t version) {
+  cache_->Insert(id, std::move(data), bytes, version, BlockAccessFrequency(id));
+}
+
+void ControlPlane::FinishPrefetch(BlockId id, const BlockInfo* filled,
+                                  CachedBytes data) {
+  // A rewrite or delete since the fill read its layout drops the fill
+  // rather than caching something stale.
+  if (filled != nullptr && state_->BlockVersion(id) == filled->version) {
+    cache_->Insert(id, std::move(data), filled->block_bytes, filled->version,
+                   BlockAccessFrequency(id), /*prefetched=*/true);
+  }
+  cache_->EndPrefetch(id);
+}
+
+void ControlPlane::RunPromotionRound(const LayoutRewrite& rewrite) {
+  if (!promoter_ || BackgroundPaused()) return;
+  // Demotions first: cooled blocks release budget the same round's
+  // promotions can spend.
+  for (BlockId id : promoter_->SelectDemotions(
+           [this](BlockId b) { return BlockAccessFrequency(b); })) {
+    const std::optional<CodecSpec> original = promoter_->OriginalSpec(id);
+    if (!original) continue;
+    BlockInfo info;
+    if (!state_->ReadBlock(id, &info)) {
+      promoter_->RecordDemoted(id);  // Deleted while promoted: free budget.
+      continue;
+    }
+    if (RewriteLayout(id, info, *original, rewrite)) {
+      promoter_->RecordDemoted(id);
+    }
+  }
+  const ReplicaPromoter::Params& params = promoter_->params();
+  std::size_t promoted = 0;
+  BlockInfo info;
+  for (const CoAccessPartner& hot :
+       HottestBlocks(params.max_promotions_per_round * 8 + 8)) {
+    if (promoted >= params.max_promotions_per_round) break;
+    if (!state_->ReadBlock(hot.block, &info)) continue;
+    if (info.codec.family == CodecFamilyId::kReplication) continue;
+    const std::uint64_t extra = ReplicaPromoter::ReplicaExtraBytes(
+        info.block_bytes, info.chunk_bytes * info.locations.size(),
+        params.replica_copies);
+    if (!promoter_->ShouldPromote(hot.block, hot.lambda, extra,
+                                  info.block_bytes)) {
+      continue;
+    }
+    if (RewriteLayout(hot.block, info, promoter_->ReplicaSpec(), rewrite)) {
+      promoter_->RecordPromoted(hot.block, info.codec, extra);
+      ++promoted;
+    }
+  }
+}
+
+bool ControlPlane::RewriteLayout(BlockId id, const BlockInfo& info,
+                                 const CodecSpec& spec,
+                                 const LayoutRewrite& rewrite) {
+  std::vector<SiteId> old_sites;
+  old_sites.reserve(info.locations.size());
+  for (const ChunkLocation& loc : info.locations) old_sites.push_back(loc.site);
+  const std::vector<SiteId> sites = SelectWriteSites(spec, old_sites);
+  // Too few free sites, or the block is unreadable right now: the next
+  // round retries.
+  if (sites.empty() || !rewrite(id, info, spec, sites)) return false;
+  // Plans and cached decodes against the old layout die here; the swap
+  // already bumped the coherence version as the lookup backstop.
+  InvalidateBlock(id);
+  return true;
 }
 
 double ControlPlane::SiteLatencyQuantileMs(SiteId site, double q) const {
@@ -419,7 +557,7 @@ void ControlPlane::ScheduleBackgroundIlp(std::span<const BlockId> blocks,
   // solver capacity is shed long before client work is. The greedy plan
   // already served the request; the recurrence gate will re-queue the
   // set once the ladder steps back down.
-  if (overload_ && overload_->brownout_level() >= 2) return;
+  if (BackgroundPaused()) return;
   constexpr std::size_t kMaxQueue = 64;
   constexpr std::size_t kMaxMissedOnce = 100000;
   // Very large multigets (the Wikipedia trace's tail pages) are served by
@@ -498,39 +636,11 @@ void ControlPlane::RunDeferredSolve(std::size_t shard_idx,
   PumpIlpWorkerLocked(shard_idx);
 }
 
-std::vector<SiteId> ControlPlane::SelectWriteSites(std::uint32_t count) {
-  std::vector<SiteId> available;
-  for (SiteId j = 0; j < state_->num_sites(); ++j) {
-    if (state_->IsSiteAvailable(j)) available.push_back(j);
-  }
-  if (available.size() < count) return {};
-
-  std::lock_guard<std::mutex> lk(rng_mu_);
-  if (!config_->CostModelEnabled()) {
-    // Baseline: random distinct placement [38].
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng_->NextBounded(available.size() - i));
-      std::swap(available[i], available[j]);
-    }
-    available.resize(count);
-    return available;
-  }
-
-  // Load-aware placement: spread new chunks over the least-loaded sites,
-  // with the same tie-break perturbation planning uses so concurrent
-  // writers do not all pick the same set.
-  const CostParams params = PlanningCostParamsLocked();
-  std::stable_sort(available.begin(), available.end(), [&](SiteId a, SiteId b) {
-    return params.site_overhead_ms[a] < params.site_overhead_ms[b];
-  });
-  available.resize(count);
-  return available;
-}
-
-std::vector<SiteId> ControlPlane::SelectWriteSitesAvoiding(
+std::vector<SiteId> ControlPlane::SelectWriteSites(
     const CodecSpec& spec, std::span<const SiteId> avoid) {
   const std::uint32_t count = SpecTotalChunks(spec);
+  const std::size_t domains = config_->failure_domains;
+  const bool grouped = domains > 0 && SpecHasPlacementGroups(spec);
   std::vector<SiteId> available;
   for (SiteId j = 0; j < state_->num_sites(); ++j) {
     if (!state_->IsSiteAvailable(j)) continue;
@@ -539,41 +649,12 @@ std::vector<SiteId> ControlPlane::SelectWriteSitesAvoiding(
   }
   if (available.size() < count) return {};
 
-  std::lock_guard<std::mutex> lk(rng_mu_);
-  if (!config_->CostModelEnabled()) {
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng_->NextBounded(available.size() - i));
-      std::swap(available[i], available[j]);
-    }
-    available.resize(count);
-    return available;
-  }
-  const CostParams params = PlanningCostParamsLocked();
-  std::stable_sort(available.begin(), available.end(), [&](SiteId a, SiteId b) {
-    return params.site_overhead_ms[a] < params.site_overhead_ms[b];
-  });
-  available.resize(count);
-  return available;
-}
-
-std::vector<SiteId> ControlPlane::SelectWriteSites(const CodecSpec& spec) {
-  const std::uint32_t count = SpecTotalChunks(spec);
-  const std::size_t domains = config_->failure_domains;
-  if (domains == 0 || !SpecHasPlacementGroups(spec)) {
-    // Unconstrained: exactly the legacy path (same RNG draw order).
-    return SelectWriteSites(count);
-  }
-
-  std::vector<SiteId> available;
-  for (SiteId j = 0; j < state_->num_sites(); ++j) {
-    if (state_->IsSiteAvailable(j)) available.push_back(j);
-  }
-  if (available.size() < count) return {};
-
-  // Preference order: least-loaded first under the cost model, uniform
-  // shuffle otherwise (a full shuffle — this constrained path may need
-  // to probe deep into the list).
+  // Preference order. Under the cost model: least-loaded first, with the
+  // same tie-break perturbation planning uses so concurrent writers do
+  // not all pick the same set. Otherwise the baseline's random distinct
+  // placement [38]: a partial shuffle of the `count` slots kept, or a
+  // full one when the group-aware pass below may probe deep into the
+  // list.
   {
     std::lock_guard<std::mutex> lk(rng_mu_);
     if (config_->CostModelEnabled()) {
@@ -584,13 +665,18 @@ std::vector<SiteId> ControlPlane::SelectWriteSites(const CodecSpec& spec) {
                                 params.site_overhead_ms[b];
                        });
     } else {
-      for (std::size_t i = 0; i + 1 < available.size(); ++i) {
+      const std::size_t shuffled = grouped ? available.size() - 1 : count;
+      for (std::size_t i = 0; i < shuffled; ++i) {
         const std::size_t j =
             i + static_cast<std::size_t>(
                     rng_->NextBounded(available.size() - i));
         std::swap(available[i], available[j]);
       }
     }
+  }
+  if (!grouped) {
+    available.resize(count);
+    return available;
   }
 
   // Greedy per-chunk assignment in preference order, keeping each
@@ -630,9 +716,10 @@ void ControlPlane::InvalidateBlock(BlockId block) {
     std::lock_guard<std::mutex> lk(sh.mu);
     sh.plan_cache.InvalidateBlock(block);
   }
-  // Cache coherence seam (§12): notify after the shard lock drops so the
-  // listener may take its own locks freely.
-  if (invalidation_listener_) invalidation_listener_(block);
+  // Cache coherence (§12): evict the decoded bytes eagerly, after the
+  // shard lock drops. The cache's version check stays the correctness
+  // backstop.
+  if (cache_) cache_->Invalidate(block);
 }
 
 std::vector<CoAccessPartner> ControlPlane::CoAccessPartnersOf(
@@ -739,6 +826,7 @@ std::vector<BlockId> ControlPlane::ShardedCoAccessView::SampleCandidateBlocks(
 
 std::optional<MovementPlan> ControlPlane::SelectMovement(
     double request_rate_per_sec) {
+  if (BackgroundPaused()) return std::nullopt;
   // Snapshot the load statistics so the candidate search never holds
   // load_mu_ (the mover walks many candidates; planners keep reading
   // fresh o_j meanwhile).
@@ -952,6 +1040,31 @@ ControlPlaneUsage ControlPlane::Usage() const {
   u.sites_marked_dead = sites_marked_dead_.load(std::memory_order_relaxed);
   u.repair_bytes_read = repair_bytes_read_.load(std::memory_order_relaxed);
   u.repair_chunks_read = repair_chunks_read_.load(std::memory_order_relaxed);
+  if (cache_) {
+    const BlockCacheStats cs = cache_->Stats();
+    u.cache_hits = cs.hits;
+    u.cache_misses = cs.misses;
+    u.cache_evictions = cs.evictions;
+    u.cache_invalidations = cs.invalidations;
+    u.prefetch_issued = cs.prefetch_issued;
+    u.prefetch_hits = cs.prefetch_hits;
+    u.cache_bytes = cs.bytes;
+  }
+  if (promoter_) {
+    const PromoterStats ps = promoter_->Stats();
+    u.blocks_promoted = ps.blocks_promoted;
+    u.blocks_demoted = ps.blocks_demoted;
+    u.replica_extra_bytes = ps.replica_extra_bytes;
+  }
+  if (overload_) {
+    const OverloadCounters oc = overload_->Counters();
+    u.requests_shed = oc.requests_shed;
+    u.deadline_exceeded = oc.deadline_exceeded;
+    u.breaker_opens = oc.breaker_opens;
+    u.breaker_half_open_probes = oc.breaker_half_open_probes;
+    u.brownout_level = oc.brownout_level;
+    u.expired_jobs_cancelled = oc.expired_jobs_cancelled;
+  }
   return u;
 }
 

@@ -1,6 +1,7 @@
 // ControlPlane: the embodiment-agnostic control plane of EC-Store
 // (Fig. 3's statistics service + chunk placement service + the policy
-// half of the repair service).
+// half of the repair service), plus the latency tier and overload
+// control that sit in front of it.
 //
 // Both embodiments — the discrete-event SimECStore and the real-bytes
 // LocalECStore — drive this one component for every policy decision:
@@ -15,6 +16,15 @@
 // queue after the modeled solve latency; LocalECStore queues it and
 // drains synchronously off the request path (or on a small executor
 // pool when ilp_executor_threads > 0).
+//
+// The plane also builds and owns the BlockCache, ReplicaPromoter and
+// OverloadControl (DESIGN.md §12, §14) — each null when its feature is
+// off — and holds their policy: the per-request cache hit/miss split and
+// the brownout-L3 cache-only check, prefetch claims, the promotion round
+// (demote, then promote, under the budget and size gate), breaker and
+// brownout evaluation, and their Usage() counters. The embodiments keep
+// only the mechanism: scheduling a prefetch fill, and rewriting a
+// block's layout (a catalog swap in the DES, real bytes in LocalECStore).
 //
 // --- Sharding (DESIGN.md §10) ----------------------------------------
 // The block-keyed mutable structures — co-access window, plan cache,
@@ -60,6 +70,8 @@
 #include <span>
 #include <vector>
 
+#include "cache/block_cache.h"
+#include "cache/promoter.h"
 #include "cluster/state.h"
 #include "common/rng.h"
 #include "core/config.h"
@@ -74,9 +86,9 @@ namespace ecstore {
 
 /// Control-plane resource usage counters (Table III), extended with the
 /// robustness counters of DESIGN.md §9. The control plane fills what it
-/// owns (repair/detector); embodiments overlay their data-plane counters
-/// (degraded reads, retries, cancellations, checksums, scrub) in their
-/// own Usage() accessors.
+/// owns (repair/detector, cache, promoter, overload); embodiments overlay
+/// only their data-plane counters (degraded reads, retries, cancellations,
+/// checksums, scrub, queue-expired jobs) in their own Usage() accessors.
 ///
 /// Consistency under concurrency (DESIGN.md §10): the event counters
 /// (stats/mover network bytes, ilp_solves, moves_executed,
@@ -113,9 +125,9 @@ struct ControlPlaneUsage {
   std::uint64_t repair_bytes_read = 0;
   std::uint64_t repair_chunks_read = 0;
 
-  // --- Cache + hybrid-redundancy counters (DESIGN.md §12). Overlaid by
-  // the embodiments from their BlockCache / ReplicaPromoter; zero when
-  // both tiers are disabled.
+  // --- Cache + hybrid-redundancy counters (DESIGN.md §12), from the
+  // control plane's BlockCache / ReplicaPromoter; zero when both tiers
+  // are disabled.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -127,10 +139,12 @@ struct ControlPlaneUsage {
   std::uint64_t blocks_demoted = 0;
   std::uint64_t replica_extra_bytes = 0;  // current extra storage (gauge)
 
-  // --- Overload-control counters (DESIGN.md §14). Overlaid by the
-  // embodiments from their OverloadControl; zero when the subsystem is
-  // off. All monotonic except brownout_level, a gauge holding the
-  // current shed-ladder level (0 = normal .. 4 = fully browned out).
+  // --- Overload-control counters (DESIGN.md §14), from the control
+  // plane's OverloadControl; zero when the subsystem is off. All
+  // monotonic except brownout_level, a gauge holding the current
+  // shed-ladder level (0 = normal .. 4 = fully browned out).
+  // LocalECStore adds its data plane's queue expirations to
+  // expired_jobs_cancelled.
   std::uint64_t requests_shed = 0;            // admission fast-fails
   std::uint64_t deadline_exceeded = 0;        // requests past their budget
   std::uint64_t breaker_opens = 0;            // closed->open transitions
@@ -155,9 +169,10 @@ struct PlanDecision {
 };
 
 /// The shared planning/stats/mover/repair path. Owns the statistics
-/// trackers and the plan cache; borrows the cluster state, config, and
-/// RNG stream from the embodiment (so a DES run remains bit-reproducible
-/// against the embodiment's single seeded stream).
+/// trackers, the plan cache, and the tier and overload subsystems;
+/// borrows the cluster state, config, and RNG stream from the embodiment
+/// (so a DES run remains bit-reproducible against the embodiment's
+/// single seeded stream).
 ///
 /// Internally synchronized (see the sharding note above): MultiGet-path
 /// calls (RecordRequest, SelectAccessPlan, cost snapshots) may run
@@ -184,13 +199,18 @@ class ControlPlane {
   /// embodiment is concurrent.
   using PlanObserver =
       std::function<void(std::span<const BlockId>, const PlanDecision&)>;
-  /// Block-cache coherence seam (DESIGN.md §12): invoked — outside all
-  /// control-plane locks — whenever a block's cached plans are
-  /// invalidated (move, delete, repair rewrite). Embodiments hook their
-  /// BlockCache's eager eviction here; the cache's version check remains
-  /// the correctness backstop. Set before traffic starts; must be
-  /// thread-safe in concurrent embodiments.
-  using InvalidationListener = std::function<void(BlockId)>;
+  /// The embodiment's layout rewrite (promotion/demotion mechanism):
+  /// re-store block `id` (currently `info`) under `spec` with chunk i at
+  /// `sites[i]` — sites disjoint from the current layout — and swap the
+  /// catalog entry. Returns false when the block cannot be rewritten right
+  /// now (the round retries it later). The control plane invalidates the
+  /// block's plans and cached bytes after a successful rewrite.
+  using LayoutRewrite =
+      std::function<bool(BlockId id, const BlockInfo& info,
+                         const CodecSpec& spec, std::span<const SiteId> sites)>;
+  /// A decoded block as the cache holds it: real bytes in LocalECStore,
+  /// null in the metadata-only simulator.
+  using CachedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
   ControlPlane(const ECStoreConfig* config, ClusterState* state, Rng* rng,
                Executor defer_solve, LoadTrackerParams load_params = {});
@@ -324,23 +344,75 @@ class ControlPlane {
     plan_observer_ = std::move(observer);
   }
 
-  void set_invalidation_listener(InvalidationListener listener) {
-    invalidation_listener_ = std::move(listener);
-  }
+  // --- Overload control (DESIGN.md §14) -----------------------------
+  /// Null when config.overload.Enabled() is false — then no admission
+  /// gate, deadline, breaker, or brownout logic runs anywhere. When on,
+  /// planning treats open-breaker sites as soft failures (dropping their
+  /// candidates while alternatives remain, letting bounded half-open
+  /// probes through), and the brownout ladder turns off prefetch at
+  /// level >= 1, pauses background ILP, movement and promotion at
+  /// level >= 2, answers refused requests from the cache at level >= 3
+  /// (CachedOnly) and forces δ = 0 at level >= 4.
+  OverloadControl* overload() const { return overload_.get(); }
 
-  /// Overload-control seam (DESIGN.md §14): when set (by the owning
-  /// embodiment, before traffic starts), planning treats open-breaker
-  /// sites as soft failures (dropping their candidates while
-  /// alternatives remain, letting bounded half-open probes through),
-  /// the brownout ladder pauses background ILP scheduling at level >= 2
-  /// and forces δ = 0 at level >= 4. Null (the default) changes nothing.
-  void set_overload_control(OverloadControl* overload) {
-    overload_ = overload;
-  }
+  /// The periodic breaker and brownout evaluation: feeds every site's
+  /// merged-window p99 to its breaker, then steps the brownout ladder on
+  /// the admission controller's pressure. Embodiments call it from their
+  /// stats refresh (the DES stats tick, LocalECStore's load refresh).
+  /// No-op with the subsystem off.
+  void EvaluateOverload(double now_ms);
+
+  // --- Latency tier (DESIGN.md §12) ----------------------------------
+  /// The decoded-block cache; null when config.cache_capacity_bytes == 0.
+  BlockCache* block_cache() const { return cache_.get(); }
+  /// The hybrid-redundancy promoter; null when
+  /// config.promotion.budget_bytes == 0.
+  ReplicaPromoter* promoter() const { return promoter_.get(); }
+
+  /// One request's pass through the cache: every requested block is
+  /// looked up against its live catalog version; each hit refreshes the
+  /// entry's weight and claims prefetch fills for its co-access partners
+  /// (cache_prefetch on, brownout below L1, λ >= prefetch_min_lambda, not
+  /// already in this request, not cached or in flight). The embodiment
+  /// plans and fetches only `misses`, and schedules each `prefetch` fill,
+  /// ending it with FinishPrefetch. Requires the cache.
+  struct CacheSplit {
+    std::vector<CachedBytes> data;  // parallel to the request; hits only
+    std::vector<BlockId> misses;    // request order
+    std::size_t hits = 0;
+    std::vector<BlockId> prefetch;  // claimed fills, in claim order
+  };
+  CacheSplit SplitCached(std::span<const BlockId> ids);
+
+  /// Brownout L3: a request the admission gate refused is still answered
+  /// when every block is validly cached. Returns the cached entries, or
+  /// nullopt (stopping at the first miss) when the ladder is below L3,
+  /// the cache is off, or some block is not cached.
+  std::optional<std::vector<CachedBytes>> CachedOnly(
+      std::span<const BlockId> ids);
+
+  /// Admits a decoded block into the cache at its current access weight,
+  /// tagged with the catalog `version` it was decoded from. Requires the
+  /// cache.
+  void FillCache(BlockId id, CachedBytes data, std::uint64_t bytes,
+                 std::uint64_t version);
+
+  /// Ends a prefetch claimed by SplitCached: admits the fill when
+  /// `filled` (the catalog entry the fill read; null when the block is
+  /// gone or unreadable) is still current, then releases the claim.
+  void FinishPrefetch(BlockId id, const BlockInfo* filled, CachedBytes data);
+
+  /// One hybrid-redundancy round, run by the movement round: demotes
+  /// cooled promoted blocks back to their original spec, then promotes
+  /// the hottest EC blocks to replicas within the budget and size gate,
+  /// at most max_promotions_per_round per round. New layouts land on
+  /// SelectWriteSites(spec, current sites); `rewrite` executes each one.
+  /// No-op without the promoter or at brownout >= L2.
+  void RunPromotionRound(const LayoutRewrite& rewrite);
 
   /// One site's tail-model latency quantile / sample count, read under
   /// the shared load lock (safe concurrent with live traffic — unlike
-  /// the raw load_tracker() accessor). The breaker evaluation input.
+  /// the raw load_tracker() accessor).
   double SiteLatencyQuantileMs(SiteId site, double q) const;
   std::uint64_t SiteLatencySamples(SiteId site) const;
 
@@ -360,30 +432,22 @@ class ControlPlane {
   std::vector<CoAccessPartner> HottestBlocks(std::size_t n) const;
 
   // --- Chunk placement: writes (W1 of Fig. 3) -------------------------
-  /// `count` distinct available sites for a new block's chunks: the
-  /// least-loaded ones under the cost model, random otherwise. Empty
-  /// when fewer than `count` sites are available.
-  std::vector<SiteId> SelectWriteSites(std::uint32_t count);
-
-  /// Spec-aware placement: site i receives chunk index i. When
-  /// `failure_domains` > 0 and the family has placement groups (LRC
-  /// local groups, piggyback groups), chunks sharing a group land on
-  /// distinct failure domains (site % failure_domains) so one domain
-  /// failure never costs a group its cheap repair plan; preference order
-  /// (least-loaded / random) is otherwise preserved. With domains = 0 or
-  /// a group-free family this is exactly SelectWriteSites(total) — same
-  /// RNG draws, bit-identical to the pre-codec-family planner.
-  std::vector<SiteId> SelectWriteSites(const CodecSpec& spec);
-
-  /// Write-site selection for in-place layout rewrites (hybrid
-  /// promote/demote, DESIGN.md §12): the new layout must land on sites
-  /// disjoint from `avoid` (the block's current sites) so the old chunks
-  /// stay fetchable until the catalog swap commits, and retiring them
-  /// afterwards can never delete new data. Uses the unconstrained
-  /// preference order (least-loaded / random); placement groups are not
-  /// applied on the rewrite path. Empty when too few sites remain.
-  std::vector<SiteId> SelectWriteSitesAvoiding(const CodecSpec& spec,
-                                               std::span<const SiteId> avoid);
+  /// Distinct available sites for a block's SpecTotalChunks(spec)
+  /// chunks, none of them in `avoid`; site i receives chunk index i.
+  /// Preference order is least-loaded under the cost model, random
+  /// otherwise. When `failure_domains` > 0 and the family has placement
+  /// groups (LRC local groups, piggyback groups), chunks sharing a group
+  /// land on distinct failure domains (site % failure_domains) so one
+  /// domain failure never costs a group its cheap repair plan. Empty when
+  /// too few sites remain.
+  ///
+  /// Layout rewrites (promote/demote, DESIGN.md §12) pass the block's
+  /// current sites as `avoid`, so the old chunks stay fetchable until the
+  /// catalog swap commits and retiring them can never delete new data.
+  /// The avoided sites are dropped before the draws, so every caller makes
+  /// the same RNG draws as a plain Put.
+  std::vector<SiteId> SelectWriteSites(const CodecSpec& spec,
+                                       std::span<const SiteId> avoid = {});
 
   // --- Plan invalidation ----------------------------------------------
   /// A chunk of `block` moved, or the block was deleted: its plans die.
@@ -531,6 +595,15 @@ class ControlPlane {
   /// P[Binomial(k + d, p) > d] <= epsilon, capped. Handles the off/LB
   /// gates; `p` is whichever straggler fraction the caller derived.
   std::uint32_t DeltaForStragglerFraction(double p) const;
+  /// Brownout L2+: background work (ILP refinement, movement, promotion)
+  /// yields its capacity to admitted client reads.
+  bool BackgroundPaused() const {
+    return overload_ && overload_->brownout_level() >= 2;
+  }
+  /// Rewrites `id` from `info` to `spec` on sites disjoint from its
+  /// current layout; true when the rewrite committed.
+  bool RewriteLayout(BlockId id, const BlockInfo& info, const CodecSpec& spec,
+                     const LayoutRewrite& rewrite);
   /// Breaker-aware demand filter (DESIGN.md §14): drops candidates on
   /// sites whose breaker says avoid — but only while a demand keeps at
   /// least `needed` candidates, so a plan never becomes infeasible on
@@ -565,9 +638,12 @@ class ControlPlane {
   FailureDetector detector_;
 
   PlanObserver plan_observer_;
-  InvalidationListener invalidation_listener_;
-  /// Borrowed from the owning embodiment (null = subsystem off).
-  OverloadControl* overload_ = nullptr;
+
+  // Latency tier and overload control: each null when its feature is off
+  // — no extra work, no RNG draws, bit-identical timelines.
+  std::unique_ptr<BlockCache> cache_;
+  std::unique_ptr<ReplicaPromoter> promoter_;
+  std::unique_ptr<OverloadControl> overload_;
 
   // Resource counters (Table III) — monotonic, lock-free.
   std::atomic<std::uint64_t> stats_network_bytes_{0};

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -99,48 +100,21 @@ LocalECStore::LocalECStore(ECStoreConfig config)
   if (config_.ilp_executor_threads > 0) {
     bg_pool_ = std::make_unique<WorkerPool>(config_.ilp_executor_threads);
   }
-  // Latency tier (DESIGN.md §12). With the defaults (capacity 0, budget
-  // 0) none of this exists and the request path is byte-identical to the
-  // cacheless store.
-  if (config_.cache_capacity_bytes > 0) {
-    cache_ = std::make_unique<BlockCache>(config_.cache_capacity_bytes);
-    // Eager coherence: every plan invalidation (move, delete, repair,
-    // degraded replan) also evicts the block's decoded bytes. The
-    // version check at Lookup remains the correctness backstop.
-    control_plane_.set_invalidation_listener(
-        [this](BlockId block) { cache_->Invalidate(block); });
-    if (config_.cache_prefetch) {
-      prefetch_cancel_ = std::make_shared<std::atomic<bool>>(false);
-      prefetch_pool_ = std::make_unique<WorkerPool>(
-          std::max<std::size_t>(1, config_.prefetch_threads));
-    }
-  }
-  if (config_.replica_budget_bytes > 0) {
-    ReplicaPromoter::Params pp;
-    pp.budget_bytes = config_.replica_budget_bytes;
-    pp.replica_copies = config_.replica_copies;
-    pp.promote_min_frequency = config_.promote_min_frequency;
-    pp.demote_frequency = config_.demote_frequency;
-    pp.max_promotions_per_round = config_.promote_per_round;
-    pp.max_block_bytes = config_.promote_max_block_bytes;
-    promoter_ = std::make_unique<ReplicaPromoter>(pp);
-  }
-  // Overload control (DESIGN.md §14): constructed only when some
-  // feature is on; a null pointer everywhere is what guarantees the
-  // default config's request path is byte-identical to a build without
-  // the subsystem.
-  if (config_.overload.Enabled()) {
-    overload_ =
-        std::make_unique<OverloadControl>(config_.num_sites, config_.overload);
-    control_plane_.set_overload_control(overload_.get());
+  // Prefetch fills for the control plane's cache (DESIGN.md §12) run on
+  // their own pool, so warming never sits on a request path.
+  if (control_plane_.block_cache() && config_.cache_prefetch) {
+    prefetch_cancel_ = std::make_shared<std::atomic<bool>>(false);
+    prefetch_pool_ = std::make_unique<WorkerPool>(
+        std::max<std::size_t>(1, config_.prefetch_threads));
   }
   DataPlane::SojournObserver sojourn;
-  if (overload_ && overload_->admission()) {
+  OverloadControl* const overload = control_plane_.overload();
+  if (overload && overload->admission()) {
     // Per-site queue sojourns feed the CoDel admission signal. The
     // observer outlives every worker call: data_plane_ is declared after
-    // overload_ and torn down first.
-    sojourn = [this](double sojourn_ms) {
-      overload_->admission()->RecordSojourn(sojourn_ms, NowMs());
+    // control_plane_ and torn down first.
+    sojourn = [this, admission = overload->admission()](double sojourn_ms) {
+      admission->RecordSojourn(sojourn_ms, NowMs());
     };
   }
   data_plane_ = std::make_unique<DataPlane>(
@@ -192,9 +166,10 @@ void LocalECStore::Put(BlockId id, std::span<const std::uint8_t> data,
   // as reads. The explicit-sites Put overload stays ungated — it is the
   // bulk-load/parity seam, not client traffic.
   AdmissionRelease release;
-  if (overload_ && overload_->gate_enabled()) {
-    if (!overload_->admission()->TryAdmit(NowMs())) throw RequestShedError();
-    release.admission = overload_->admission();
+  OverloadControl* const overload = control_plane_.overload();
+  if (overload && overload->gate_enabled()) {
+    if (!overload->admission()->TryAdmit(NowMs())) throw RequestShedError();
+    release.admission = overload->admission();
   }
   std::lock_guard<std::mutex> lock(meta_mu_);
   const std::vector<SiteId> sites = control_plane_.SelectWriteSites(spec);
@@ -460,40 +435,31 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
   // Admission gate (DESIGN.md §14): refuse excess requests before any
   // planning work is spent on them.
   AdmissionRelease release;
-  if (overload_ && overload_->gate_enabled()) {
-    if (!overload_->admission()->TryAdmit(NowMs())) {
+  OverloadControl* const overload = control_plane_.overload();
+  if (overload && overload->gate_enabled()) {
+    if (!overload->admission()->TryAdmit(NowMs())) {
       // Brownout L3 (cache-only answers): a refused request can still
       // be served — free of fan-out — when every block sits validly in
       // the decoded-block cache.
-      if (overload_->brownout_level() >= 3 && cache_) {
+      if (const auto hits = control_plane_.CachedOnly(ids)) {
         std::vector<std::vector<std::uint8_t>> out;
         out.reserve(ids.size());
-        bool all_cached = true;
-        for (BlockId id : ids) {
-          std::shared_ptr<const std::vector<std::uint8_t>> hit;
-          if (cache_->Lookup(id, state_.BlockVersion(id), &hit) &&
-              hit != nullptr) {
-            out.push_back(*hit);
-          } else {
-            all_cached = false;
-            break;
-          }
-        }
-        if (all_cached) return out;
+        for (const auto& hit : *hits) out.push_back(*hit);
+        return out;
       }
       throw RequestShedError();
     }
-    release.admission = overload_->admission();
+    release.admission = overload->admission();
   }
   // End-to-end deadline (DESIGN.md §14): the absolute budget flows into
   // the fetch fan-out (per-site queue expiry) and the retry schedule.
   const auto deadline =
-      overload_ && overload_->deadline_ms() > 0
+      overload && overload->deadline_ms() > 0
           ? std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<
                     std::chrono::steady_clock::duration>(
                     std::chrono::duration<double, std::milli>(
-                        overload_->deadline_ms()))
+                        overload->deadline_ms()))
           : std::chrono::steady_clock::time_point::max();
 
   // Planning takes no store-wide lock (DESIGN.md §10): the control plane
@@ -510,31 +476,23 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
   // memory and plan/fetch only the misses. The λ-driven prefetch fires
   // off each hit's co-access partners before the miss fan-out starts, so
   // warming overlaps the fetch.
-  std::vector<std::shared_ptr<const std::vector<std::uint8_t>>> hits;
-  std::vector<BlockId> miss_ids;
-  if (cache_) {
-    hits.resize(ids.size());
-    miss_ids.reserve(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (cache_->Lookup(ids[i], state_.BlockVersion(ids[i]), &hits[i]) &&
-          hits[i] != nullptr) {
-        cache_->UpdateWeight(ids[i], control_plane_.BlockAccessFrequency(ids[i]));
-        if (prefetch_pool_) MaybePrefetch(ids[i], ids);
-      } else {
-        hits[i].reset();
-        miss_ids.push_back(ids[i]);
-      }
+  const bool cached = control_plane_.block_cache() != nullptr;
+  ControlPlane::CacheSplit split;
+  if (cached) {
+    split = control_plane_.SplitCached(ids);
+    for (BlockId block : split.prefetch) {
+      prefetch_pool_->Submit([this, block] { PrefetchBlock(block); });
     }
-    if (miss_ids.empty()) {
+    if (split.misses.empty()) {
       std::vector<std::vector<std::uint8_t>> out;
       out.reserve(ids.size());
-      for (const auto& h : hits) out.push_back(*h);
+      for (const auto& h : split.data) out.push_back(*h);
       if (!bg_pool_) DrainBackgroundWork();
       return out;
     }
   }
   const std::span<const BlockId> fetch_ids =
-      cache_ ? std::span<const BlockId>(miss_ids) : ids;
+      cached ? std::span<const BlockId>(split.misses) : ids;
 
   // Per-request late-binding fan-out: static δ, or the adaptive policy's
   // straggler-probability-derived value over the sites this request's
@@ -576,7 +534,7 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
     // The budget is spent: the caller has given up, so decoding now
     // would only deliver a late answer. Distinct from data loss — every
     // chunk fetched above remains durable.
-    overload_->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+    overload->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
     throw DeadlineExceededError();
   }
 
@@ -592,19 +550,18 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
   out.reserve(ids.size());
   for (std::size_t pos = 0; pos < ids.size(); ++pos) {
     const BlockId id = ids[pos];
-    if (cache_ && hits[pos] != nullptr) {
-      out.push_back(*hits[pos]);
+    if (cached && split.data[pos] != nullptr) {
+      out.push_back(*split.data[pos]);
       continue;
     }
     const std::size_t i = meta_index(id);
-    if (cache_ != nullptr) {
+    if (cached) {
       // Fill through a shared buffer tagged with the snapshot-time
       // version: if the block was rewritten mid-fetch, the entry simply
       // never validates again.
       auto decoded = std::make_shared<const std::vector<std::uint8_t>>(
           meta[i].family->Decode(fetched[i], meta[i].block_bytes));
-      cache_->Insert(id, decoded, decoded->size(), meta[i].version,
-                     control_plane_.BlockAccessFrequency(id));
+      control_plane_.FillCache(id, decoded, decoded->size(), meta[i].version);
       out.push_back(*decoded);
     } else {
       out.push_back(meta[i].family->Decode(fetched[i], meta[i].block_bytes));
@@ -654,32 +611,10 @@ ControlPlaneUsage LocalECStore::Usage() const {
   u.cancelled_fetch_jobs = data_plane_->jobs_cancelled();
   u.chunks_scrubbed = chunks_scrubbed_.load(std::memory_order_relaxed);
   for (const auto& node : nodes_) u.checksum_failures += node->checksum_failures();
-  if (cache_) {
-    const BlockCacheStats cs = cache_->Stats();
-    u.cache_hits = cs.hits;
-    u.cache_misses = cs.misses;
-    u.cache_evictions = cs.evictions;
-    u.cache_invalidations = cs.invalidations;
-    u.prefetch_issued = cs.prefetch_issued;
-    u.prefetch_hits = cs.prefetch_hits;
-    u.cache_bytes = cs.bytes;
-  }
-  if (promoter_) {
-    const PromoterStats ps = promoter_->Stats();
-    u.blocks_promoted = ps.blocks_promoted;
-    u.blocks_demoted = ps.blocks_demoted;
-    u.replica_extra_bytes = ps.replica_extra_bytes;
-  }
-  if (overload_) {
+  if (control_plane_.overload()) {
     // Jobs the data plane expired at pickup belong to the same
     // "expired work cancelled at the queue" counter as the sim's.
-    const OverloadCounters oc = overload_->Counters(data_plane_->jobs_expired());
-    u.requests_shed = oc.requests_shed;
-    u.deadline_exceeded = oc.deadline_exceeded;
-    u.breaker_opens = oc.breaker_opens;
-    u.breaker_half_open_probes = oc.breaker_half_open_probes;
-    u.brownout_level = oc.brownout_level;
-    u.expired_jobs_cancelled = oc.expired_jobs_cancelled;
+    u.expired_jobs_cancelled += data_plane_->jobs_expired();
   }
   return u;
 }
@@ -970,120 +905,29 @@ std::optional<std::vector<std::uint8_t>> LocalECStore::ReadBlockBytesLocked(
   return std::nullopt;
 }
 
-void LocalECStore::MaybePrefetch(BlockId anchor,
-                                 std::span<const BlockId> requested) {
-  // Brownout L1 (DESIGN.md §14): prefetch is the cheapest optional work
-  // and the first to go under pressure.
-  if (overload_ && overload_->brownout_level() >= 1) return;
-  const auto partners =
-      control_plane_.CoAccessPartnersOf(anchor, config_.prefetch_max_partners);
-  for (const CoAccessPartner& p : partners) {
-    if (p.lambda < config_.prefetch_min_lambda) break;  // Sorted descending.
-    if (std::find(requested.begin(), requested.end(), p.block) !=
-        requested.end()) {
-      continue;  // Already part of this request's fetch.
-    }
-    // BeginPrefetch dedups against resident entries and racing hits on
-    // the same anchor — at most one in-flight fill per block.
-    if (!cache_->BeginPrefetch(p.block)) continue;
-    prefetch_pool_->Submit([this, block = p.block] { PrefetchBlock(block); });
-  }
-}
-
 void LocalECStore::PrefetchBlock(BlockId id) {
-  struct EndGuard {
-    BlockCache* cache;
-    BlockId id;
-    ~EndGuard() { cache->EndPrefetch(id); }
-  } guard{cache_.get(), id};
-  if (prefetch_cancel_->load(std::memory_order_acquire)) return;
-  BlockInfo info;
-  if (!state_.ReadBlock(id, &info)) return;  // Deleted since the trigger.
   // Fill reads run under the catalog writer lock like the degraded path:
   // a consistent snapshot, verified GetChunk (no injected latency — the
-  // warm path must not add site load), never on the request path.
+  // warm path must not add site load), never on the request path. A
+  // cancelled (teardown), deleted or unreadable block fills nothing;
+  // FinishPrefetch releases the claim either way.
+  BlockInfo info;
   std::optional<std::vector<std::uint8_t>> decoded;
-  {
+  if (!prefetch_cancel_->load(std::memory_order_acquire) &&
+      state_.ReadBlock(id, &info)) {
     std::lock_guard<std::mutex> lock(meta_mu_);
     decoded = ReadBlockBytesLocked(id, info);
   }
-  if (!decoded) return;
-  // Validate the fill against the live version: if the block changed
-  // while we decoded, insert nothing rather than something stale.
-  if (state_.BlockVersion(id) != info.version) return;
-  auto data = std::make_shared<const std::vector<std::uint8_t>>(
-      std::move(*decoded));
-  cache_->Insert(id, data, data->size(), info.version,
-                 control_plane_.BlockAccessFrequency(id), /*prefetched=*/true);
-}
-
-void LocalECStore::RunPromotionRoundLocked() {
-  // Demotions first: cooled blocks release budget the same round's
-  // promotions can spend.
-  for (BlockId id : promoter_->SelectDemotions([this](BlockId b) {
-         return control_plane_.BlockAccessFrequency(b);
-       })) {
-    DemoteBlockLocked(id);
+  if (!decoded) {
+    control_plane_.FinishPrefetch(id, nullptr, nullptr);
+    return;
   }
-  const std::size_t scan =
-      promoter_->params().max_promotions_per_round * 8 + 8;
-  std::size_t promoted = 0;
-  BlockInfo info;
-  for (const CoAccessPartner& hot : control_plane_.HottestBlocks(scan)) {
-    if (promoted >= promoter_->params().max_promotions_per_round) break;
-    if (!state_.ReadBlock(hot.block, &info)) continue;
-    if (info.codec.family == CodecFamilyId::kReplication) continue;
-    const std::uint64_t extra = ReplicaPromoter::ReplicaExtraBytes(
-        info.block_bytes, info.chunk_bytes * info.locations.size(),
-        promoter_->params().replica_copies);
-    if (!promoter_->ShouldPromote(hot.block, hot.lambda, extra,
-                                  info.block_bytes)) {
-      continue;
-    }
-    if (PromoteBlockLocked(hot.block, info, extra)) ++promoted;
-  }
+  control_plane_.FinishPrefetch(
+      id, &info,
+      std::make_shared<const std::vector<std::uint8_t>>(std::move(*decoded)));
 }
 
-bool LocalECStore::PromoteBlockLocked(BlockId id, const BlockInfo& info,
-                                      std::uint64_t extra_bytes) {
-  const auto data = ReadBlockBytesLocked(id, info);
-  if (!data) return false;  // Not decodable right now; retry next round.
-  const CodecSpec rep = promoter_->ReplicaSpec();
-  std::vector<SiteId> old_sites;
-  old_sites.reserve(info.locations.size());
-  for (const ChunkLocation& loc : info.locations) old_sites.push_back(loc.site);
-  const std::vector<SiteId> sites =
-      control_plane_.SelectWriteSitesAvoiding(rep, old_sites);
-  if (sites.empty()) return false;  // Too few free sites; retry next round.
-  RewriteBlockLocked(id, info, *data, rep, sites);
-  promoter_->RecordPromoted(id, info.codec, extra_bytes);
-  return true;
-}
-
-bool LocalECStore::DemoteBlockLocked(BlockId id) {
-  const auto original = promoter_->OriginalSpec(id);
-  if (!original) return false;
-  BlockInfo info;
-  if (!state_.ReadBlock(id, &info)) {
-    // Deleted while promoted: just release the budget.
-    promoter_->RecordDemoted(id);
-    return false;
-  }
-  const auto data = ReadBlockBytesLocked(id, info);
-  if (!data) return false;  // No reachable copy right now; retry later.
-  std::vector<SiteId> old_sites;
-  old_sites.reserve(info.locations.size());
-  for (const ChunkLocation& loc : info.locations) old_sites.push_back(loc.site);
-  const std::vector<SiteId> sites =
-      control_plane_.SelectWriteSitesAvoiding(*original, old_sites);
-  if (sites.empty()) return false;
-  RewriteBlockLocked(id, info, *data, *original, sites);
-  promoter_->RecordDemoted(id);
-  return true;
-}
-
-void LocalECStore::RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
-                                      std::span<const std::uint8_t> data,
+bool LocalECStore::RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
                                       const CodecSpec& spec,
                                       std::span<const SiteId> sites) {
   // Write-first discipline (the mover's, extended to whole layouts): the
@@ -1095,8 +939,10 @@ void LocalECStore::RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
   // the degraded path, whose version check drops old-encoding chunks and
   // re-reads the committed layout. At no point is the id absent from the
   // catalog or its only readable copy gone.
+  const auto data = ReadBlockBytesLocked(id, old_info);
+  if (!data) return false;  // Not decodable right now; retry next round.
   const auto family = FamilyFor(spec);
-  std::vector<ChunkData> chunks = family->Encode(data);
+  std::vector<ChunkData> chunks = family->Encode(*data);
   if (sites.size() != chunks.size()) {
     throw std::runtime_error("LocalECStore::RewriteBlockLocked: wrong site count");
   }
@@ -1106,28 +952,26 @@ void LocalECStore::RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
     nodes_[sites[i]]->PutChunk(id, static_cast<ChunkIndex>(i),
                                std::move(chunks[i]));
   }
-  state_.ReplaceBlock(id, data.size(), family->ChunkSize(data.size()), spec,
+  // The swap bumps the coherence version: cached decodes of the old
+  // layout never validate again.
+  state_.ReplaceBlock(id, data->size(), family->ChunkSize(data->size()), spec,
                       sites);
-  // Plans and cached decodes against the old layout die here; the swap
-  // above already bumped the coherence version as the lookup backstop.
-  control_plane_.InvalidateBlock(id);
   for (const ChunkLocation& loc : old_info.locations) {
     nodes_[loc.site]->DeleteChunk(id, loc.chunk);
   }
+  return true;
 }
 
 std::optional<MovementPlan> LocalECStore::RunMovementRound() {
   std::lock_guard<std::mutex> lock(meta_mu_);
   RefreshLoadFromCounters();
-  // Brownout L2 (DESIGN.md §14): movement and promotion rounds pause —
-  // background I/O yields its site capacity to admitted client reads.
-  // The refresh above still ran, so stats (and the ladder itself) stay
-  // live while paused.
-  if (overload_ && overload_->brownout_level() >= 2) return std::nullopt;
-  // Hybrid-redundancy sweep (DESIGN.md §12) rides the movement round:
+  // Hybrid-redundancy round (DESIGN.md §12) rides the movement round:
   // promote this window's hottest EC blocks to replicas, demote cooled
-  // ones, all within the storage budget.
-  if (promoter_) RunPromotionRoundLocked();
+  // ones, all within the storage budget. Under brownout L2 (DESIGN.md
+  // §14) the control plane pauses it and the movement below; the refresh
+  // above still ran, so stats (and the ladder itself) stay live.
+  control_plane_.RunPromotionRound(
+      std::bind_front(&LocalECStore::RewriteBlockLocked, this));
   const auto plan = control_plane_.SelectMovement(
       static_cast<double>(control_plane_.TotalRequestsInWindow()));
   if (!plan) return std::nullopt;
@@ -1211,17 +1055,7 @@ void LocalECStore::RefreshLoadFromCounters() {
         data_plane_->DrainServiceSamples(static_cast<SiteId>(j));
     control_plane_.RecordServiceSamples(static_cast<SiteId>(j), samples);
   }
-  if (overload_) {
-    // Breakers feed on the same histograms the tail model keeps; the
-    // brownout ladder feeds on the admission controller's pressure.
-    for (std::size_t j = 0; j < nodes_.size(); ++j) {
-      const auto site = static_cast<SiteId>(j);
-      overload_->EvaluateSite(site,
-                              control_plane_.SiteLatencyQuantileMs(site, 0.99),
-                              control_plane_.SiteLatencySamples(site), now_ms);
-    }
-    overload_->UpdateBrownout(now_ms);
-  }
+  control_plane_.EvaluateOverload(now_ms);
   control_plane_.ReloadPlansOnDrift();
 }
 

@@ -61,8 +61,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/block_cache.h"
-#include "cache/promoter.h"
 #include "cluster/state.h"
 #include "common/rng.h"
 #include "common/worker_pool.h"
@@ -73,7 +71,6 @@
 #include "core/storage_node.h"
 #include "erasure/codec_family.h"
 #include "fault/injector.h"
-#include "overload/overload.h"
 #include "placement/mover.h"
 #include "placement/planner.h"
 #include "stats/co_access.h"
@@ -108,21 +105,11 @@ class LocalECStore {
   /// tests can Poll it directly and read chunks_rebuilt()).
   RepairService& repair_service() { return *repair_; }
 
-  /// The decoded-block cache (DESIGN.md §12); null when
-  /// config.cache_capacity_bytes == 0.
-  BlockCache* block_cache() { return cache_.get(); }
-  const BlockCache* block_cache() const { return cache_.get(); }
-
-  /// The hybrid-redundancy promoter (DESIGN.md §12); null when
-  /// config.replica_budget_bytes == 0.
-  ReplicaPromoter* promoter() { return promoter_.get(); }
-  const ReplicaPromoter* promoter() const { return promoter_.get(); }
-
-  /// The overload-control subsystem (DESIGN.md §14); null when
-  /// config.overload.Enabled() is false — in which case no admission
-  /// gate, deadline, breaker, or brownout logic runs anywhere.
-  OverloadControl* overload() { return overload_.get(); }
-  const OverloadControl* overload() const { return overload_.get(); }
+  /// The control plane's latency tier and overload subsystem (DESIGN.md
+  /// §12, §14); each null when its feature is off.
+  BlockCache* block_cache() const { return control_plane_.block_cache(); }
+  ReplicaPromoter* promoter() const { return control_plane_.promoter(); }
+  OverloadControl* overload() const { return control_plane_.overload(); }
 
   /// Blocks until every in-flight prefetch has completed (tests).
   void WaitForPrefetches();
@@ -133,9 +120,9 @@ class LocalECStore {
     return control_plane_.load_tracker();
   }
   const PlanCache& plan_cache() const { return control_plane_.plan_cache(); }
-  /// Control-plane usage overlaid with this embodiment's robustness
+  /// Control-plane usage overlaid with this embodiment's data-plane
   /// counters (degraded reads, retried fetches, cancelled fetch jobs,
-  /// checksum failures, chunks scrubbed).
+  /// checksum failures, chunks scrubbed, queue-expired jobs).
   ControlPlaneUsage Usage() const;
 
   /// The embodiment's seeded RNG stream. Exposed so parity tests can
@@ -284,27 +271,18 @@ class LocalECStore {
   /// (bypassing injected latency/errors). Requires meta_mu_ held.
   std::optional<std::vector<std::uint8_t>> ReadBlockBytesLocked(
       BlockId id, const BlockInfo& info);
-  /// Queues prefetch fills for `anchor`'s hottest co-access partners
-  /// (skipping blocks already cached, in flight, or in this request).
-  void MaybePrefetch(BlockId anchor, std::span<const BlockId> requested);
-  /// One prefetch fill: fetch + decode + version-checked cache insert.
-  /// Runs on prefetch_pool_; honors prefetch_cancel_.
+  /// One prefetch fill claimed by the control plane: fetch + decode,
+  /// then FinishPrefetch. Runs on prefetch_pool_; honors prefetch_cancel_.
   void PrefetchBlock(BlockId id);
-  /// One promote/demote sweep of the hybrid-redundancy tier (DESIGN.md
-  /// §12). Requires meta_mu_ held.
-  void RunPromotionRoundLocked();
-  bool PromoteBlockLocked(BlockId id, const BlockInfo& info,
-                          std::uint64_t extra_bytes);
-  bool DemoteBlockLocked(BlockId id);
-  /// Re-encodes a live block under a new codec: writes the new chunks to
-  /// sites disjoint from the old layout, swaps the catalog entry in one
-  /// stripe-locked step (ClusterState::ReplaceBlock — the id never
-  /// vanishes), then retires the old chunks. A reader that planned
-  /// against the old layout either completes from its surviving chunks
-  /// or re-resolves in the degraded path's version refresh. Requires
-  /// meta_mu_ held.
-  void RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
-                          std::span<const std::uint8_t> data,
+  /// The promotion round's layout rewrite (ControlPlane::LayoutRewrite):
+  /// reads and re-encodes a live block under `spec`, writes the new
+  /// chunks to `sites` (disjoint from the old layout), swaps the catalog
+  /// entry in one stripe-locked step (ClusterState::ReplaceBlock — the id
+  /// never vanishes), then retires the old chunks. False when the block
+  /// is not decodable right now. A reader that planned against the old
+  /// layout either completes from its surviving chunks or re-resolves in
+  /// the degraded path's version refresh. Requires meta_mu_ held.
+  bool RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
                           const CodecSpec& spec, std::span<const SiteId> sites);
   /// Fans every planned chunk read out to the data plane, completes each
   /// block on its first k arrivals (cancelling/ignoring late-binding
@@ -381,11 +359,6 @@ class LocalECStore {
   std::uint64_t maint_ticks_ = 0;
   std::thread maint_thread_;
 
-  // Latency tier (DESIGN.md §12): decoded-block cache + λ-driven
-  // prefetch + hybrid-redundancy promoter. All null/absent when disabled
-  // by config, leaving the original request path untouched.
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<ReplicaPromoter> promoter_;
   // Cooperative cancel for prefetch jobs still queued at teardown.
   std::shared_ptr<std::atomic<bool>> prefetch_cancel_;
 
@@ -394,18 +367,14 @@ class LocalECStore {
   // its destructor drains them before those members die.
   std::unique_ptr<WorkerPool> bg_pool_;
 
-  // Prefetch fill pool: jobs reference nodes_/state_/cache_, so it is
-  // declared after them (destroyed — drained and joined — first).
+  // Prefetch fill pool: jobs reference nodes_/state_ and the control
+  // plane's cache, so it is declared after them (destroyed — drained and
+  // joined — first).
   std::unique_ptr<WorkerPool> prefetch_pool_;
 
-  // Overload control (DESIGN.md §14): null when every overload feature
-  // is off. Declared before data_plane_: the data plane's sojourn
-  // observer references it, so the plane must be torn down (workers
-  // joined) first.
-  std::unique_ptr<OverloadControl> overload_;
-
   // Declared last: its destructor joins the workers, whose queued jobs
-  // reference the nodes above, before anything else is torn down.
+  // reference the nodes above (and whose sojourn observer references the
+  // control plane's OverloadControl), before anything else is torn down.
   std::unique_ptr<DataPlane> data_plane_;
 };
 

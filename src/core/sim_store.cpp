@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <map>
 
 namespace ecstore {
@@ -79,34 +80,6 @@ SimECStore::SimECStore(ECStoreConfig config)
     sites_.push_back(std::make_unique<sim::SimSite>(
         static_cast<SiteId>(j), &queue_, site_params, rng_.Split()));
   }
-
-  // Latency tier (DESIGN.md §12). Entries are metadata-only in this
-  // embodiment (the DES carries no chunk bytes); the version check plus
-  // the control plane's invalidation push keep them coherent.
-  if (config_.cache_capacity_bytes > 0) {
-    cache_ = std::make_unique<BlockCache>(config_.cache_capacity_bytes);
-    control_plane_.set_invalidation_listener(
-        [this](BlockId b) { cache_->Invalidate(b); });
-  }
-  if (config_.replica_budget_bytes > 0) {
-    ReplicaPromoter::Params pp;
-    pp.budget_bytes = config_.replica_budget_bytes;
-    pp.replica_copies = config_.replica_copies;
-    pp.promote_min_frequency = config_.promote_min_frequency;
-    pp.demote_frequency = config_.demote_frequency;
-    pp.max_promotions_per_round = config_.promote_per_round;
-    pp.max_block_bytes = config_.promote_max_block_bytes;
-    promoter_ = std::make_unique<ReplicaPromoter>(pp);
-  }
-
-  // Overload control (DESIGN.md §14): constructed only when some
-  // feature is on; the null pointer is what guarantees the default
-  // config's timelines are bit-identical to a build without it.
-  if (config_.overload.Enabled()) {
-    overload_ =
-        std::make_unique<OverloadControl>(config_.num_sites, config_.overload);
-    control_plane_.set_overload_control(overload_.get());
-  }
 }
 
 SimECStore::~SimECStore() = default;
@@ -143,37 +116,29 @@ void SimECStore::Start() {
 
 void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
   const SimTime start = queue_.Now();
+  OverloadControl* const overload = control_plane_.overload();
 
   // Admission gate (DESIGN.md §14): refuse excess requests before any
   // control-plane work is spent on them.
-  if (overload_ && overload_->gate_enabled() &&
-      !overload_->admission()->TryAdmit(ToMillis(start))) {
+  if (overload && overload->gate_enabled() &&
+      !overload->admission()->TryAdmit(ToMillis(start))) {
     // Brownout L3 (cache-only answers): a refused request can still be
     // served — free of fan-out — when every block sits validly in the
     // decoded-block cache.
-    if (overload_->brownout_level() >= 3 && cache_) {
-      bool all_cached = true;
-      for (BlockId id : blocks) {
-        if (!cache_->Lookup(id, state_.BlockVersion(id), nullptr)) {
-          all_cached = false;
-          break;
-        }
-      }
-      if (all_cached) {
-        const auto cached = static_cast<std::uint32_t>(blocks.size());
-        const SimTime serve =
-            config_.cache_hit_cost * static_cast<SimTime>(cached);
-        queue_.ScheduleAfter(serve,
-                             [this, start, cached, done = std::move(done)] {
-          RequestBreakdown out;
-          out.total = queue_.Now() - start;
-          out.ok = true;
-          out.cached_blocks = cached;
-          ++requests_completed_;
-          done(out);
-        });
-        return;
-      }
+    if (control_plane_.CachedOnly(blocks)) {
+      const auto cached = static_cast<std::uint32_t>(blocks.size());
+      const SimTime serve =
+          config_.cache_hit_cost * static_cast<SimTime>(cached);
+      queue_.ScheduleAfter(serve,
+                           [this, start, cached, done = std::move(done)] {
+        RequestBreakdown out;
+        out.total = queue_.Now() - start;
+        out.ok = true;
+        out.cached_blocks = cached;
+        ++requests_completed_;
+        done(out);
+      });
+      return;
     }
     // Fast-fail shed: the modeled rejection cost, orders of magnitude
     // below a served request.
@@ -192,23 +157,24 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
   req->blocks = std::move(blocks);
   req->done = std::move(done);
   req->start = start;
-  if (overload_ && overload_->gate_enabled()) {
+  if (overload && overload->gate_enabled()) {
     // Exactly-once token release on whichever completion path fires
     // (every path funnels through req->done exactly once).
-    req->done = [this, inner = std::move(req->done)](
+    req->done = [overload, inner = std::move(req->done)](
                     const RequestBreakdown& b) {
-      overload_->admission()->Release();
+      overload->admission()->Release();
       inner(b);
     };
   }
-  if (overload_ && overload_->deadline_ms() > 0) {
+  if (overload && overload->deadline_ms() > 0) {
     // End-to-end deadline: a timeout event completes the request at the
     // budget's edge; the phase entry guards on `finished` stop all
     // further work for it.
-    req->deadline = start + FromMillis(overload_->deadline_ms());
-    queue_.ScheduleAfter(FromMillis(overload_->deadline_ms()), [this, req] {
+    req->deadline = start + FromMillis(overload->deadline_ms());
+    queue_.ScheduleAfter(FromMillis(overload->deadline_ms()),
+                         [this, overload, req] {
       if (req->finished) return;
-      overload_->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+      overload->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
       req->deadline_hit = true;
       Complete(req, /*ok=*/false);
     });
@@ -218,25 +184,28 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
   control_plane_.RecordRequest(req->blocks);
 
   // Client-side cache check (DESIGN.md §12): version-valid hits skip the
-  // control plane entirely; only the misses continue down R1-R3.
-  if (cache_) {
-    std::vector<BlockId> misses;
-    misses.reserve(req->blocks.size());
-    for (BlockId id : req->blocks) {
-      if (cache_->Lookup(id, state_.BlockVersion(id), nullptr)) {
-        ++req->cached_blocks;
-        cache_->UpdateWeight(id, control_plane_.BlockAccessFrequency(id));
-        SchedulePrefetch(id, req->blocks);
-      } else {
-        misses.push_back(id);
-      }
+  // rest of the control plane; only the misses continue down R1-R3.
+  if (control_plane_.block_cache()) {
+    ControlPlane::CacheSplit split = control_plane_.SplitCached(req->blocks);
+    req->cached_blocks = static_cast<std::uint32_t>(split.hits);
+    for (BlockId block : split.prefetch) {
+      // Each claimed fill is one deferred event after the modeled
+      // fetch+decode delay; it re-reads the catalog at fill time so a
+      // concurrent rewrite or delete simply drops the fill.
+      queue_.ScheduleAfter(config_.prefetch_fill_latency, [this, block] {
+        BlockInfo info;
+        const bool live = state_.ReadBlock(block, &info);
+        control_plane_.FinishPrefetch(block, live ? &info : nullptr, nullptr);
+      });
     }
-    if (misses.empty()) {
+    if (split.misses.empty()) {
       // Fully cached: no metadata trip, no fan-out, no decode — just the
       // modeled per-block hit cost.
       const SimTime serve =
           config_.cache_hit_cost * static_cast<SimTime>(req->cached_blocks);
       queue_.ScheduleAfter(serve, [this, req] {
+        if (req->finished) return;  // The deadline fired first.
+        req->finished = true;  // Disarms the deadline timer.
         RequestBreakdown out;
         out.total = queue_.Now() - req->start;
         out.ok = true;
@@ -246,7 +215,7 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
       });
       return;
     }
-    req->blocks = std::move(misses);
+    req->blocks = std::move(split.misses);
   }
 
   // R1: metadata access — a control-plane round trip plus lookup work.
@@ -268,7 +237,7 @@ void SimECStore::PlanPhase(std::shared_ptr<PendingRequest> req) {
     return;
   }
   req->demands = std::move(dr.demands);
-  if (cache_) {
+  if (control_plane_.block_cache()) {
     req->versions.clear();
     req->versions.reserve(req->demands.size());
     for (const BlockDemand& d : req->demands) {
@@ -360,10 +329,11 @@ void SimECStore::IssueReads(std::shared_ptr<PendingRequest> req,
         RetryAfterFailure(req, generation);
         return;
       }
-      if (overload_ && overload_->admission()) {
+      OverloadControl* const overload = control_plane_.overload();
+      if (overload && overload->admission()) {
         // CoDel signal (DESIGN.md §14): the site's backlog delay at
         // submit time is the DES analogue of a queue sojourn.
-        overload_->admission()->RecordSojourn(
+        overload->admission()->RecordSojourn(
             ToMillis(std::max<SimTime>(s.busy_until() - queue_.Now(), 0)),
             ToMillis(queue_.Now()));
       }
@@ -374,8 +344,8 @@ void SimECStore::IssueReads(std::shared_ptr<PendingRequest> req,
         // deadline — enqueueing it would burn service time on an answer
         // nobody is waiting for. The deadline timeout event completes
         // the request.
-        overload_->expired_jobs_cancelled.fetch_add(1,
-                                                    std::memory_order_relaxed);
+        overload->expired_jobs_cancelled.fetch_add(1,
+                                                   std::memory_order_relaxed);
         return;
       }
       const SimTime submitted = queue_.Now();
@@ -432,13 +402,14 @@ void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
   req->finished = true;
   req->retrieval = queue_.Now() - req->retrieval_start;
 
-  // R3: decode. Blocks whose first-k chunks are all systematic (or any
-  // replica) are pure reassembly; otherwise the GF-arithmetic decode rate
-  // applies. The client decodes blocks sequentially.
+  // R3: decode. A replicated block (the R baseline's, or a promoted one)
+  // needs none, whichever copy answered. Blocks whose first-k chunks are
+  // all systematic are pure reassembly; otherwise the GF-arithmetic
+  // decode rate applies. The client decodes blocks sequentially.
   SimTime decode_total = 0;
   for (std::size_t i = 0; i < req->demands.size(); ++i) {
     const BlockInfo& info = state_.GetBlock(req->demands[i].block);
-    if (config_.IsReplication()) continue;  // A replica needs no decode.
+    if (info.codec.family == CodecFamilyId::kReplication) continue;
     const auto& chunks = req->received[i];
     const bool systematic =
         std::all_of(chunks.begin(), chunks.end(),
@@ -451,7 +422,7 @@ void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
   queue_.ScheduleAfter(decode_total, [this, req, decode_total] {
     // Fill the cache with the just-decoded blocks, unless a concurrent
     // rewrite (Put/move/repair) bumped the version since plan time.
-    if (cache_) {
+    if (control_plane_.block_cache()) {
       for (std::size_t i = 0; i < req->demands.size(); ++i) {
         const BlockId b = req->demands[i].block;
         BlockInfo info;
@@ -459,8 +430,7 @@ void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
         if (i < req->versions.size() && info.version != req->versions[i]) {
           continue;
         }
-        cache_->Insert(b, nullptr, info.block_bytes, info.version,
-                       control_plane_.BlockAccessFrequency(b));
+        control_plane_.FillCache(b, nullptr, info.block_bytes, info.version);
       }
     }
     RequestBreakdown out;
@@ -492,61 +462,25 @@ void SimECStore::Complete(const std::shared_ptr<PendingRequest>& req, bool ok) {
   req->done(out);
 }
 
-void SimECStore::SchedulePrefetch(BlockId anchor,
-                                  const std::vector<BlockId>& requested) {
-  if (!config_.cache_prefetch) return;
-  // Brownout L1 (DESIGN.md §14): prefetch is the cheapest optional work
-  // and the first to go under pressure.
-  if (overload_ && overload_->brownout_level() >= 1) return;
-  const std::vector<CoAccessPartner> partners =
-      control_plane_.CoAccessPartnersOf(anchor, config_.prefetch_max_partners);
-  for (const CoAccessPartner& p : partners) {
-    if (p.lambda < config_.prefetch_min_lambda) break;  // Sorted descending.
-    if (std::find(requested.begin(), requested.end(), p.block) !=
-        requested.end()) {
-      continue;  // Already being fetched by this request.
-    }
-    if (!cache_->BeginPrefetch(p.block)) continue;  // In cache or in flight.
-    // The fill is one deferred event after the modeled fetch+decode delay;
-    // it re-reads the catalog at fill time so a concurrent rewrite or
-    // delete simply drops the fill.
-    queue_.ScheduleAfter(config_.prefetch_fill_latency,
-                         [this, block = p.block] {
-      BlockInfo info;
-      if (state_.ReadBlock(block, &info)) {
-        cache_->Insert(block, nullptr, info.block_bytes, info.version,
-                       control_plane_.BlockAccessFrequency(block),
-                       /*prefetched=*/true);
-      }
-      cache_->EndPrefetch(block);
-    });
-  }
-}
-
-std::vector<SiteId> SimECStore::ChooseWriteSites(std::uint32_t count) {
-  // A full-stripe request routes through the spec-aware overload so
-  // group-aware spreading applies (a no-op — identical draws — when
-  // failure_domains is 0); explicit other counts keep the legacy path.
-  if (count == config_.ChunksPerBlock()) {
-    return control_plane_.SelectWriteSites(config_.BlockCodec());
-  }
-  return control_plane_.SelectWriteSites(count);
+std::vector<SiteId> SimECStore::ChooseWriteSites() {
+  return control_plane_.SelectWriteSites(config_.BlockCodec());
 }
 
 void SimECStore::Put(BlockId id, std::uint64_t block_bytes, PutCallback done) {
   const SimTime start = queue_.Now();
   // Admission gate (DESIGN.md §14): writes compete for the same tokens
   // as reads — under overload a shed Put fast-fails like a shed Get.
-  if (overload_ && overload_->gate_enabled()) {
-    if (!overload_->admission()->TryAdmit(ToMillis(start))) {
+  OverloadControl* const overload = control_plane_.overload();
+  if (overload && overload->gate_enabled()) {
+    if (!overload->admission()->TryAdmit(ToMillis(start))) {
       queue_.ScheduleAfter(FromMillis(config_.overload.shed_penalty_ms),
                            [this, start, done = std::move(done)] {
         done(PutResult{queue_.Now() - start, false});
       });
       return;
     }
-    done = [this, inner = std::move(done)](const PutResult& r) {
-      overload_->admission()->Release();
+    done = [overload, inner = std::move(done)](const PutResult& r) {
+      overload->admission()->Release();
       inner(r);
     };
   }
@@ -554,8 +488,7 @@ void SimECStore::Put(BlockId id, std::uint64_t block_bytes, PutCallback done) {
   const SimTime control = net_.RoundTrip() + config_.metadata_base_latency;
   queue_.ScheduleAfter(control, [this, id, block_bytes, start,
                                  done = std::move(done)]() mutable {
-    const std::uint32_t total_chunks = config_.ChunksPerBlock();
-    const std::vector<SiteId> sites = ChooseWriteSites(total_chunks);
+    const std::vector<SiteId> sites = ChooseWriteSites();
     if (sites.empty() || state_.Contains(id)) {
       done(PutResult{queue_.Now() - start, false});
       return;
@@ -722,18 +655,7 @@ void SimECStore::StatsTick() {
     control_plane_.NoteHeartbeat(report.site, ToMillis(queue_.Now()));
   }
   control_plane_.CheckFailures(ToMillis(queue_.Now()));
-  if (overload_) {
-    // Breakers feed on the same histograms the tail model keeps; the
-    // brownout ladder feeds on the admission controller's pressure.
-    const double now_ms = ToMillis(queue_.Now());
-    for (std::size_t j = 0; j < sites_.size(); ++j) {
-      const auto site = static_cast<SiteId>(j);
-      overload_->EvaluateSite(site,
-                              control_plane_.SiteLatencyQuantileMs(site, 0.99),
-                              control_plane_.SiteLatencySamples(site), now_ms);
-    }
-    overload_->UpdateBrownout(now_ms);
-  }
+  control_plane_.EvaluateOverload(ToMillis(queue_.Now()));
   // Request-rate estimate for the mover's load-shift model.
   const double interval_s =
       static_cast<double>(config_.stats_report_interval) / kSecond;
@@ -770,13 +692,12 @@ SimTime SimECStore::MoverPeriod() const {
 void SimECStore::MoverTick() {
   queue_.ScheduleAfter(MoverPeriod(), [this] { MoverTick(); });
   if (mover_busy_) return;  // Throttle: one in-flight movement at a time.
-  // Brownout L2 (DESIGN.md §14): movement and promotion rounds pause —
-  // background I/O yields its site capacity to admitted client reads.
-  if (overload_ && overload_->brownout_level() >= 2) return;
 
   // The mover's round also drives dynamic hybrid redundancy: hot EC
   // blocks promote to full replicas, cooled ones demote (DESIGN.md §12).
-  if (promoter_) PromotionSweep();
+  // Under brownout L2 (DESIGN.md §14) the control plane pauses both.
+  control_plane_.RunPromotionRound(
+      std::bind_front(&SimECStore::RewriteBlock, this));
 
   const auto plan = control_plane_.SelectMovement(request_rate_per_sec_);
   if (!plan) return;
@@ -809,68 +730,16 @@ void SimECStore::MoverTick() {
   });
 }
 
-void SimECStore::PromotionSweep() {
-  // Demotions first: they free budget the same round's promotions spend.
-  const std::vector<BlockId> cold = promoter_->SelectDemotions(
-      [this](BlockId b) { return control_plane_.BlockAccessFrequency(b); });
-  for (BlockId id : cold) DemoteBlockSim(id);
-
-  const std::size_t per_round = promoter_->params().max_promotions_per_round;
-  const std::vector<CoAccessPartner> hottest =
-      control_plane_.HottestBlocks(per_round * 8 + 8);
-  std::size_t promoted = 0;
-  for (const CoAccessPartner& hot : hottest) {
-    if (promoted >= per_round) break;
-    BlockInfo info;
-    if (!state_.ReadBlock(hot.block, &info)) continue;
-    if (info.codec.family == CodecFamilyId::kReplication) continue;
-    const std::uint64_t extra = ReplicaPromoter::ReplicaExtraBytes(
-        info.block_bytes, info.chunk_bytes * info.locations.size(),
-        promoter_->params().replica_copies);
-    if (!promoter_->ShouldPromote(hot.block, hot.lambda, extra,
-                                  info.block_bytes)) {
-      continue;
-    }
-    if (PromoteBlockSim(hot.block, info, extra)) ++promoted;
-  }
-}
-
-bool SimECStore::PromoteBlockSim(BlockId id, const BlockInfo& info,
-                                 std::uint64_t extra_bytes) {
-  const CodecSpec original = info.codec;
-  if (!RewriteBlockSim(id, info, promoter_->ReplicaSpec())) return false;
-  promoter_->RecordPromoted(id, original, extra_bytes);
-  return true;
-}
-
-bool SimECStore::DemoteBlockSim(BlockId id) {
-  const std::optional<CodecSpec> original = promoter_->OriginalSpec(id);
-  if (!original) return false;
-  BlockInfo info;
-  if (!state_.ReadBlock(id, &info)) {
-    // The block was deleted while promoted; just release the budget.
-    promoter_->RecordDemoted(id);
-    return false;
-  }
-  if (!RewriteBlockSim(id, info, *original)) return false;
-  promoter_->RecordDemoted(id);
-  return true;
-}
-
-bool SimECStore::RewriteBlockSim(BlockId id, const BlockInfo& info,
-                                 const CodecSpec& spec) {
-  const std::vector<SiteId> sites = control_plane_.SelectWriteSites(spec);
-  if (sites.empty()) return false;
+bool SimECStore::RewriteBlock(BlockId id, const BlockInfo& info,
+                              const CodecSpec& spec,
+                              std::span<const SiteId> sites) {
   // Metadata rewrite: the DES carries no chunk bytes, so the redundancy
   // change is a catalog swap (Remove + AddBlock reseeds the coherence
-  // version) plus per-site chunk-count updates. Plans referencing the old
-  // layout drop first so no read targets a stale location.
-  control_plane_.InvalidateBlock(id);
-  const std::vector<ChunkLocation> old_locations = info.locations;
+  // version) plus per-site chunk-count updates.
   state_.RemoveBlock(id);
   state_.AddBlock(id, info.block_bytes, SpecChunkBytes(spec, info.block_bytes),
                   spec, sites);
-  for (const ChunkLocation& loc : old_locations) {
+  for (const ChunkLocation& loc : info.locations) {
     sites_[loc.site]->set_chunk_count(state_.site_chunk_counts()[loc.site]);
   }
   for (SiteId s : sites) {

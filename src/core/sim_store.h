@@ -17,14 +17,11 @@
 #include <memory>
 #include <vector>
 
-#include "cache/block_cache.h"
-#include "cache/promoter.h"
 #include "cluster/state.h"
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/control_plane.h"
 #include "fault/injector.h"
-#include "overload/overload.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/site.h"
@@ -112,10 +109,10 @@ class SimECStore {
   /// future plan can reach the chunks) and lazily discards chunk data.
   void Delete(BlockId id, PutCallback done);
 
-  /// W1's placement decision, exposed for tests: k+r distinct available
-  /// sites — the least-loaded ones under the cost model, random for the
-  /// baseline techniques.
-  std::vector<SiteId> ChooseWriteSites(std::uint32_t count);
+  /// W1's placement decision, exposed for tests: one distinct available
+  /// site per chunk of the configured codec — the least-loaded ones under
+  /// the cost model, random for the baseline techniques.
+  std::vector<SiteId> ChooseWriteSites();
 
   /// Fails/recovers a site (Section VI-C4). Failed sites finish queued
   /// work but receive no new requests. FailSite is the *manual* path: it
@@ -159,53 +156,18 @@ class SimECStore {
   /// the `baseline` snapshot. Only available sites participate.
   double ImbalanceLambda(const std::vector<std::uint64_t>& baseline) const;
 
-  /// The decoded-block cache (DESIGN.md §12; metadata-only entries in
-  /// this embodiment); null when config.cache_capacity_bytes == 0.
-  BlockCache* block_cache() { return cache_.get(); }
-  const BlockCache* block_cache() const { return cache_.get(); }
+  /// The control plane's latency tier and overload subsystem (DESIGN.md
+  /// §12, §14; the cache holds metadata-only entries in this embodiment).
+  /// Each is null when its feature is off.
+  BlockCache* block_cache() const { return control_plane_.block_cache(); }
+  ReplicaPromoter* promoter() const { return control_plane_.promoter(); }
+  OverloadControl* overload() const { return control_plane_.overload(); }
 
-  /// The hybrid-redundancy promoter (DESIGN.md §12); null when
-  /// config.replica_budget_bytes == 0.
-  ReplicaPromoter* promoter() { return promoter_.get(); }
-  const ReplicaPromoter* promoter() const { return promoter_.get(); }
-
-  /// The overload-control subsystem (DESIGN.md §14); null when
-  /// config.overload.Enabled() is false — in which case no admission
-  /// gate, deadline, breaker, or brownout logic runs anywhere.
-  OverloadControl* overload() { return overload_.get(); }
-  const OverloadControl* overload() const { return overload_.get(); }
-
-  /// Control-plane usage plus this embodiment's robustness counters
-  /// (failure-triggered replans surface as retried_fetches) and the
-  /// cache/hybrid tier's counters.
+  /// Control-plane usage plus this embodiment's robustness counter
+  /// (failure-triggered replans surface as retried_fetches).
   ControlPlaneUsage Usage() const {
     ControlPlaneUsage u = control_plane_.Usage();
     u.retried_fetches = retried_fetches_;
-    if (overload_) {
-      const OverloadCounters oc = overload_->Counters();
-      u.requests_shed = oc.requests_shed;
-      u.deadline_exceeded = oc.deadline_exceeded;
-      u.breaker_opens = oc.breaker_opens;
-      u.breaker_half_open_probes = oc.breaker_half_open_probes;
-      u.brownout_level = oc.brownout_level;
-      u.expired_jobs_cancelled = oc.expired_jobs_cancelled;
-    }
-    if (cache_) {
-      const BlockCacheStats cs = cache_->Stats();
-      u.cache_hits = cs.hits;
-      u.cache_misses = cs.misses;
-      u.cache_evictions = cs.evictions;
-      u.cache_invalidations = cs.invalidations;
-      u.prefetch_issued = cs.prefetch_issued;
-      u.prefetch_hits = cs.prefetch_hits;
-      u.cache_bytes = cs.bytes;
-    }
-    if (promoter_) {
-      const PromoterStats ps = promoter_->Stats();
-      u.blocks_promoted = ps.blocks_promoted;
-      u.blocks_demoted = ps.blocks_demoted;
-      u.replica_extra_bytes = ps.replica_extra_bytes;
-    }
     return u;
   }
 
@@ -238,18 +200,10 @@ class SimECStore {
   void ProbeTick();
   void MoverTick();
   SimTime MoverPeriod() const;
-  /// Queues event-scheduled cache fills for `anchor`'s hottest co-access
-  /// partners (DESIGN.md §12; metadata-only entries, modeled fill delay).
-  void SchedulePrefetch(BlockId anchor, const std::vector<BlockId>& requested);
-  /// One promote/demote sweep of the hybrid-redundancy tier, run on the
-  /// mover's tick (metadata rewrite + site chunk-count updates).
-  void PromotionSweep();
-  bool PromoteBlockSim(BlockId id, const BlockInfo& info,
-                       std::uint64_t extra_bytes);
-  bool DemoteBlockSim(BlockId id);
-  /// Rewrites block `id` to `spec` at freshly chosen sites; false when
-  /// placement fails (the catalog is left untouched).
-  bool RewriteBlockSim(BlockId id, const BlockInfo& info, const CodecSpec& spec);
+  /// The promotion round's layout rewrite (ControlPlane::LayoutRewrite):
+  /// a catalog swap to `spec` at `sites` plus site chunk-count updates.
+  bool RewriteBlock(BlockId id, const BlockInfo& info, const CodecSpec& spec,
+                    std::span<const SiteId> sites);
 
   ECStoreConfig config_;
   sim::EventQueue queue_;
@@ -258,15 +212,6 @@ class SimECStore {
   sim::Network net_;
   ClusterState state_;
   ControlPlane control_plane_;
-
-  // Latency tier (DESIGN.md §12): both null when disabled by config —
-  // no extra events, no extra RNG draws, bit-identical timelines.
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<ReplicaPromoter> promoter_;
-
-  // Overload control (DESIGN.md §14): null when every overload feature
-  // is off — no extra events, no RNG draws, bit-identical timelines.
-  std::unique_ptr<OverloadControl> overload_;
 
   bool started_ = false;
   bool mover_busy_ = false;

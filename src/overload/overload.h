@@ -29,8 +29,8 @@
 // Everything here is clock-agnostic: methods take an explicit `now_ms`
 // so the DES embodiment drives them with simulated time (keeping runs
 // deterministic) and the real-bytes embodiment with wall clock. The
-// library depends only on ec_common; the stores own one OverloadControl
-// and hand the ControlPlane a pointer for the planning-side gates.
+// library depends only on ec_common; the ControlPlane owns the one
+// OverloadControl and applies its planning-side gates itself.
 #pragma once
 
 #include <atomic>
@@ -252,7 +252,7 @@ struct OverloadCounters {
   std::uint64_t expired_jobs_cancelled = 0;
 };
 
-/// The aggregate each store embodiment owns (only when
+/// The aggregate the ControlPlane owns (only when
 /// OverloadParams::Enabled(); a null OverloadControl* everywhere means
 /// the feature set is off and no behavior changes). The individual
 /// controllers are null when their feature flag is off — except the
@@ -279,8 +279,8 @@ class OverloadControl {
     return brownout_ ? brownout_->level() : 0;
   }
 
-  /// Updates breaker state for one site and the brownout ladder; the
-  /// stores call this from their periodic stats refresh.
+  /// Updates breaker state for one site; ControlPlane::EvaluateOverload
+  /// calls this for every site on each periodic stats refresh.
   void EvaluateSite(SiteId site, double p99_ms, std::uint64_t samples,
                     double now_ms) {
     if (breakers_) breakers_->Evaluate(site, p99_ms, samples, now_ms);

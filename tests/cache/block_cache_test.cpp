@@ -1,9 +1,11 @@
 // Latency tier tests (DESIGN.md §12): the λ-weighted decoded-block cache
 // (admission/eviction determinism, version-checked coherence, prefetch
-// dedup), the replica promoter's budget accounting, and the LocalECStore
+// dedup), the replica promoter's budget accounting, the LocalECStore
 // integration — cached MultiGet, invalidation on Put/move/scrub rewrite,
-// prefetch fills, and promote/demote surviving a replica-site failure
-// with zero stale reads.
+// prefetch fills, promote/demote surviving a replica-site failure with
+// zero stale reads, group-aware demotion — and the SimECStore tier:
+// promotion within the budget, demotion to the original spec, prefetch
+// on a hit, and its brownout-L1 cut-off.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include "cache/block_cache.h"
 #include "cache/promoter.h"
 #include "core/local_store.h"
+#include "core/sim_store.h"
 
 namespace ecstore {
 namespace {
@@ -201,7 +204,7 @@ ECStoreConfig CacheConfig(std::uint64_t cache_bytes, bool prefetch,
   config.seed = 7;
   config.cache_capacity_bytes = cache_bytes;
   config.cache_prefetch = prefetch;
-  config.replica_budget_bytes = budget_bytes;
+  config.promotion.budget_bytes = budget_bytes;
   return config;
 }
 
@@ -309,9 +312,9 @@ TEST(CachedStoreTest, ScrubRewriteBumpsVersionAndInvalidates) {
 TEST(CachedStoreTest, PromoteDemoteWithinBudgetSurvivesSiteFailure) {
   ECStoreConfig config = CacheConfig(0, false, /*budget=*/1 << 20);
   config.co_access_window = 200;  // small window so demotion can observe
-  config.promote_min_frequency = 0.05;
-  config.demote_frequency = 0.01;
-  config.replica_copies = 3;
+  config.promotion.promote_min_frequency = 0.05;
+  config.promotion.demote_frequency = 0.01;
+  config.promotion.replica_copies = 3;
   LocalECStore store(config);
   constexpr std::size_t kBytes = 4096;
   // Enough blocks that the cooling traffic below keeps every individual
@@ -327,7 +330,7 @@ TEST(CachedStoreTest, PromoteDemoteWithinBudgetSurvivesSiteFailure) {
 
   const PromoterStats promoted = store.promoter()->Stats();
   ASSERT_GE(promoted.blocks_promoted, 1u);
-  EXPECT_LE(promoted.replica_extra_bytes, config.replica_budget_bytes);
+  EXPECT_LE(promoted.replica_extra_bytes, config.promotion.budget_bytes);
   ASSERT_TRUE(store.promoter()->IsPromoted(0));
   const BlockInfo replicated = store.state().GetBlock(0);
   EXPECT_EQ(replicated.codec.family, CodecFamilyId::kReplication);
@@ -352,6 +355,211 @@ TEST(CachedStoreTest, PromoteDemoteWithinBudgetSurvivesSiteFailure) {
   EXPECT_EQ(demoted.codec.family, CodecFamilyId::kRs);
   EXPECT_EQ(store.Get(0), MakeBlock(kBytes, 0));
   EXPECT_EQ(store.promoter()->Stats().replica_extra_bytes, 0u);
+}
+
+
+// Placement-group regression: a demotion rewrite must honour failure
+// domains like a Put does. Chunks of one LRC local group land on
+// distinct domains (site % failure_domains) after Put, and must still
+// do so after promote -> demote.
+std::size_t SameDomainGroupMates(const BlockInfo& info, std::size_t domains) {
+  std::size_t clashes = 0;
+  for (std::size_t a = 0; a < info.locations.size(); ++a) {
+    const ChunkLocation& la = info.locations[a];
+    const auto group = PlacementGroupOf(info.codec, la.chunk);
+    if (!group) continue;
+    for (std::size_t b = a + 1; b < info.locations.size(); ++b) {
+      const ChunkLocation& lb = info.locations[b];
+      if (PlacementGroupOf(info.codec, lb.chunk) == group &&
+          la.site % domains == lb.site % domains) {
+        ++clashes;
+      }
+    }
+  }
+  return clashes;
+}
+
+TEST(CachedStoreTest, LrcDemotionKeepsGroupsOnDistinctDomains) {
+  ECStoreConfig config = CacheConfig(0, false, /*budget=*/1 << 20);
+  config.num_sites = 16;
+  config.codec_family = CodecFamilyId::kAzureLrc;
+  config.k = 6;
+  config.r = 2;
+  config.codec_locals = 2;
+  config.failure_domains = 4;
+  config.co_access_window = 200;
+  config.promotion.promote_min_frequency = 0.05;
+  config.promotion.demote_frequency = 0.01;
+  config.promotion.replica_copies = 3;
+  LocalECStore store(config);
+  constexpr std::size_t kBytes = 4096;
+  constexpr BlockId kBlocks = 40;
+  for (BlockId id = 0; id < kBlocks; ++id) store.Put(id, MakeBlock(kBytes, id));
+  for (BlockId id = 0; id < kBlocks; ++id) {
+    ASSERT_EQ(SameDomainGroupMates(store.state().GetBlock(id), 4), 0u) << id;
+  }
+  const CodecSpec original = store.state().GetBlock(0).codec;
+
+  for (int i = 0; i < 40; ++i) (void)store.MultiGet(std::vector<BlockId>{0});
+  store.RunMovementRound();
+  ASSERT_TRUE(store.promoter()->IsPromoted(0));
+
+  for (int i = 0; i < 300; ++i) {
+    (void)store.MultiGet(std::vector<BlockId>{1 + (i % (kBlocks - 1))});
+  }
+  store.RunMovementRound();
+  ASSERT_FALSE(store.promoter()->IsPromoted(0));
+  const BlockInfo demoted = store.state().GetBlock(0);
+  EXPECT_EQ(demoted.codec, original);
+  EXPECT_EQ(SameDomainGroupMates(demoted, 4), 0u);
+  EXPECT_EQ(store.Get(0), MakeBlock(kBytes, 0));
+}
+
+// --- SimECStore integration -------------------------------------------
+// The simulator runs the same tier policy on metadata-only entries; these
+// drive its promotion round and prefetch path through the event queue.
+
+void RunSimGet(SimECStore& store, std::vector<BlockId> blocks) {
+  bool done = false;
+  store.Get(std::move(blocks), [&](const RequestBreakdown&) { done = true; });
+  store.queue().RunUntil(store.queue().Now() + kSecond / 10);
+  ASSERT_TRUE(done);
+}
+
+ECStoreConfig SimTierConfig() {
+  ECStoreConfig config = ECStoreConfig::ForTechnique(Technique::kEcCM);
+  config.num_sites = 16;
+  config.seed = 11;
+  config.co_access_window = 200;
+  config.promotion.budget_bytes = 1 << 20;
+  config.promotion.promote_min_frequency = 0.05;
+  config.promotion.demote_frequency = 0.01;
+  config.promotion.replica_copies = 3;
+  return config;
+}
+
+TEST(SimTierTest, HotBlockPromotesWithinBudgetThenDemotesToItsSpec) {
+  const ECStoreConfig config = SimTierConfig();
+  SimECStore store(config);
+  constexpr BlockId kBlocks = 40;
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  store.LoadBlocks(0, kBlocks, kBytes);
+  const CodecSpec original = store.state().GetBlock(0).codec;
+  store.Start();
+
+  // Block 0 is the only block read: it tops the hottest list at the
+  // first mover tick and rewrites to rep(2) within the budget.
+  for (int i = 0; i < 40; ++i) RunSimGet(store, {0});
+  store.queue().RunUntil(store.queue().Now() + 2 * kSecond);
+  ASSERT_NE(store.promoter(), nullptr);
+  ASSERT_TRUE(store.promoter()->IsPromoted(0));
+  const ControlPlaneUsage hot = store.Usage();
+  EXPECT_GE(hot.blocks_promoted, 1u);
+  EXPECT_GT(hot.replica_extra_bytes, 0u);
+  EXPECT_LE(hot.replica_extra_bytes, config.promotion.budget_bytes);
+  const BlockInfo replicated = store.state().GetBlock(0);
+  EXPECT_EQ(replicated.codec, store.promoter()->ReplicaSpec());
+  ASSERT_EQ(replicated.locations.size(), 3u);
+  RunSimGet(store, {0});  // The replica layout serves reads.
+
+  // Cool it: slide the co-access window past its accesses.
+  for (int i = 0; i < 300; ++i) {
+    RunSimGet(store, {static_cast<BlockId>(1 + (i % (kBlocks - 1)))});
+  }
+  store.queue().RunUntil(store.queue().Now() + 2 * kSecond);
+  EXPECT_FALSE(store.promoter()->IsPromoted(0));
+  const ControlPlaneUsage cooled = store.Usage();
+  EXPECT_GE(cooled.blocks_demoted, 1u);
+  EXPECT_EQ(cooled.replica_extra_bytes, 0u);
+  const BlockInfo demoted = store.state().GetBlock(0);
+  EXPECT_EQ(demoted.codec, original);
+  EXPECT_EQ(demoted.locations.size(), SpecTotalChunks(original));
+}
+
+std::vector<SiteId> SitesOf(const BlockInfo& info) {
+  std::vector<SiteId> sites;
+  for (const ChunkLocation& loc : info.locations) sites.push_back(loc.site);
+  std::sort(sites.begin(), sites.end());
+  return sites;
+}
+
+bool Disjoint(const std::vector<SiteId>& a, const std::vector<SiteId>& b) {
+  for (SiteId s : a) {
+    if (std::binary_search(b.begin(), b.end(), s)) return false;
+  }
+  return true;
+}
+
+// Both embodiments rewrite a layout onto sites disjoint from the old one,
+// so the old chunks stay readable until the swap and retiring them never
+// touches the new layout.
+TEST(SimTierTest, RewritesLandOnSitesDisjointFromTheOldLayout) {
+  ECStoreConfig config = SimTierConfig();
+  config.num_sites = 8;
+  config.mover.candidate_blocks = 0;  // Promotion rounds only: no moves.
+  SimECStore store(config);
+  constexpr BlockId kBlocks = 40;
+  store.LoadBlocks(0, kBlocks, 64 * 1024);
+  const std::vector<SiteId> original = SitesOf(store.state().GetBlock(0));
+  store.Start();
+
+  for (int i = 0; i < 40; ++i) RunSimGet(store, {0});
+  store.queue().RunUntil(store.queue().Now() + 2 * kSecond);
+  ASSERT_TRUE(store.promoter()->IsPromoted(0));
+  const std::vector<SiteId> replicated = SitesOf(store.state().GetBlock(0));
+  EXPECT_TRUE(Disjoint(replicated, original));
+
+  for (int i = 0; i < 300; ++i) {
+    RunSimGet(store, {static_cast<BlockId>(1 + (i % (kBlocks - 1)))});
+  }
+  store.queue().RunUntil(store.queue().Now() + 2 * kSecond);
+  ASSERT_FALSE(store.promoter()->IsPromoted(0));
+  EXPECT_TRUE(Disjoint(SitesOf(store.state().GetBlock(0)), replicated));
+}
+
+ECStoreConfig SimPrefetchConfig() {
+  ECStoreConfig config = ECStoreConfig::ForTechnique(Technique::kEcC);
+  config.num_sites = 8;
+  config.seed = 5;
+  config.cache_capacity_bytes = 1 << 20;
+  config.cache_prefetch = true;
+  return config;
+}
+
+TEST(SimTierTest, CacheHitPrefetchesCoAccessPartner) {
+  SimECStore store(SimPrefetchConfig());
+  store.LoadBlocks(1, 2, 16 * 1024);
+  for (int i = 0; i < 8; ++i) RunSimGet(store, {1, 2});
+  ASSERT_TRUE(store.block_cache()->Contains(1));
+
+  // Knock 2 out; a hit on 1 alone must warm it back.
+  ASSERT_TRUE(store.block_cache()->Invalidate(2));
+  const std::uint64_t issued_before = store.Usage().prefetch_issued;
+  RunSimGet(store, {1});
+  EXPECT_GT(store.Usage().prefetch_issued, issued_before);
+  EXPECT_TRUE(store.block_cache()->Contains(2));
+
+  const std::uint64_t prefetch_hits_before = store.Usage().prefetch_hits;
+  RunSimGet(store, {2});
+  EXPECT_GT(store.Usage().prefetch_hits, prefetch_hits_before);
+}
+
+TEST(SimTierTest, BrownoutLevelOneSuppressesPrefetch) {
+  ECStoreConfig config = SimPrefetchConfig();
+  config.overload.brownout = true;
+  SimECStore store(config);
+  store.LoadBlocks(1, 2, 16 * 1024);
+  for (int i = 0; i < 8; ++i) RunSimGet(store, {1, 2});
+  ASSERT_TRUE(store.block_cache()->Invalidate(2));
+
+  // Full pressure escalates the ladder one rung: prefetch is the first
+  // optional work to go.
+  store.overload()->brownout()->Update(1.0, 0.0);
+  ASSERT_GE(store.overload()->brownout_level(), 1);
+  const std::uint64_t issued_before = store.Usage().prefetch_issued;
+  RunSimGet(store, {1});
+  EXPECT_EQ(store.Usage().prefetch_issued, issued_before);
+  EXPECT_FALSE(store.block_cache()->Contains(2));
 }
 
 }  // namespace

@@ -83,7 +83,7 @@ TEST(SimPutTest, ChooseWriteSitesReturnsDistinctAvailableSites) {
   SimECStore store(config);
   store.LoadBlocks(1000, 8, 100 * 1024);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto sites = store.ChooseWriteSites(4);
+    const auto sites = store.ChooseWriteSites();
     ASSERT_EQ(sites.size(), 4u);
     const std::set<SiteId> distinct(sites.begin(), sites.end());
     EXPECT_EQ(distinct.size(), 4u);
@@ -112,7 +112,7 @@ TEST(SimPutTest, LoadAwarePlacementAvoidsSlowSites) {
 
   int slow_picks = 0;
   for (int trial = 0; trial < 20; ++trial) {
-    for (SiteId s : store.ChooseWriteSites(4)) {
+    for (SiteId s : store.ChooseWriteSites()) {
       slow_picks += (s == 0 || s == 1);
     }
   }
@@ -127,7 +127,7 @@ TEST(SimPutTest, WriteSitesExcludeFailed) {
   store.FailSite(0);
   store.FailSite(1);
   for (int trial = 0; trial < 20; ++trial) {
-    for (SiteId s : store.ChooseWriteSites(4)) {
+    for (SiteId s : store.ChooseWriteSites()) {
       EXPECT_NE(s, 0u);
       EXPECT_NE(s, 1u);
     }

@@ -238,6 +238,22 @@ TEST(SimStoreTest, DeterministicForSameSeed) {
   EXPECT_EQ(run(), run());
 }
 
+// Regression: a replicated block (the layout a promotion writes) needs
+// no decode, whichever copy answers — in any cluster, not only under the
+// R technique. Copies 1 and 2 used to be charged the GF decode rate.
+TEST(SimStoreTest, ReplicaBlockReadsChargeNoDecodeInEcCluster) {
+  SimECStore store(TinyConfig(Technique::kEc));
+  const CodecSpec rep{CodecFamilyId::kReplication, 1, 2, 0};
+  constexpr std::uint64_t kBytes = 1 << 20;
+  store.state().AddBlock(0, kBytes, SpecChunkBytes(rep, kBytes), rep,
+                         std::vector<SiteId>{1, 3, 5});
+  for (int i = 0; i < 40; ++i) {
+    const RequestBreakdown r = RunSingleGet(store, {0});
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.decode, 0) << "read " << i;
+  }
+}
+
 TEST(RepairServiceTest, ReconstructsAfterGracePeriod) {
   ECStoreConfig config = TinyConfig(Technique::kEcC);
   config.repair_wait = 30 * kSecond;  // Shorten the 15 min for the test.

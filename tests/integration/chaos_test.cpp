@@ -276,9 +276,9 @@ TEST(ChaosTest, CacheStaysCoherentUnderCrashFlapErrorsAndCorruption) {
   // budget that lets the promoter rewrite layouts mid-storm.
   config.cache_capacity_bytes = 2 << 20;
   config.cache_prefetch = true;
-  config.replica_budget_bytes = 256 << 10;
-  config.promote_min_frequency = 0.005;
-  config.demote_frequency = 0.001;
+  config.promotion.budget_bytes = 256 << 10;
+  config.promotion.promote_min_frequency = 0.005;
+  config.promotion.demote_frequency = 0.001;
   LocalECStore store(config);
 
   constexpr BlockId kPreloaded = 120;
@@ -402,7 +402,7 @@ TEST(ChaosTest, CacheStaysCoherentUnderCrashFlapErrorsAndCorruption) {
   // promoter rewrote at least one hot block to full replicas.
   EXPECT_GE(mid_usage.cache_hits, 1u) << "the cache never served a read";
   EXPECT_GE(mid_usage.blocks_promoted, 1u) << "the promoter never fired";
-  EXPECT_LE(mid_usage.replica_extra_bytes, config.replica_budget_bytes);
+  EXPECT_LE(mid_usage.replica_extra_bytes, config.promotion.budget_bytes);
 
   // Convergence, per-block codec aware: promoted blocks are full replicas
   // now, so "full redundancy" is SpecTotalChunks of whatever layout each

@@ -262,10 +262,9 @@ struct PlaneFixture {
 
 TEST(PlanningFilterTest, OpenBreakerSiteIsAvoidedWhenAlternativesExist) {
   PlaneFixture f;
-  OverloadParams p = BreakerParams();
-  p.breaker_min_samples = 1;
-  OverloadControl ctl(8, p);
-  f.plane().set_overload_control(&ctl);
+  f.config.overload = BreakerParams();
+  f.config.overload.breaker_min_samples = 1;
+  OverloadControl& ctl = *f.plane().overload();
 
   // Block 0: 4 candidate sites, only 2 needed — site 0 is avoidable.
   f.state.AddBlock(0, 100 * 1024, 50 * 1024, 2, 2,
@@ -291,10 +290,9 @@ TEST(PlanningFilterTest, OpenBreakerSiteIsAvoidedWhenAlternativesExist) {
 
 TEST(PlanningFilterTest, TrippedSiteEveryBlockNeedsIsStillRead) {
   PlaneFixture f;
-  OverloadParams p = BreakerParams();
-  p.breaker_min_samples = 1;
-  OverloadControl ctl(8, p);
-  f.plane().set_overload_control(&ctl);
+  f.config.overload = BreakerParams();
+  f.config.overload.breaker_min_samples = 1;
+  OverloadControl& ctl = *f.plane().overload();
 
   // Block 0: exactly k candidates, one on the tripped site. Soft
   // failure, not hard: the filter never makes a plan infeasible.
@@ -313,9 +311,8 @@ TEST(PlanningFilterTest, TrippedSiteEveryBlockNeedsIsStillRead) {
 
 TEST(PlanningFilterTest, ClosedBreakersLeaveThePlanPathUntouched) {
   PlaneFixture f;
-  OverloadParams p = BreakerParams();
-  OverloadControl ctl(8, p);
-  f.plane().set_overload_control(&ctl);
+  f.config.overload = BreakerParams();
+  ASSERT_NE(f.plane().overload(), nullptr);
   f.state.AddBlock(0, 100 * 1024, 50 * 1024, 2, 2,
                    std::vector<SiteId>{0, 1, 2, 3});
   const std::vector<BlockId> blocks = {0};
@@ -405,6 +402,36 @@ TEST(SimOverloadTest, DeadlineCompletesTheRequestAtItsBudget) {
   EXPECT_FALSE(out.shed);
   EXPECT_EQ(out.total, FromMillis(config.overload.deadline_ms));
   EXPECT_EQ(store.Usage().deadline_exceeded, 1u);
+}
+
+// Regression: a request served wholly from the cache completes exactly
+// once. Its deadline timer used to fire later anyway and report the
+// already-answered request again, as a deadline miss.
+TEST(SimOverloadTest, FullyCachedRequestCompletesOnce) {
+  ECStoreConfig config = ECStoreConfig::ForTechnique(Technique::kEcC);
+  config.num_sites = 8;
+  config.cache_capacity_bytes = 1 << 20;
+  config.overload.deadline_ms = 100;
+  config.overload.admission = true;
+  config.overload.admission_max_in_flight = 4;
+  SimECStore store(config);
+  store.LoadBlocks(0, 2, 16 * 1024);
+  store.Get({0, 1}, [](const RequestBreakdown&) {});  // Fills the cache.
+  store.queue().RunAll();
+
+  int calls = 0;
+  RequestBreakdown out;
+  store.Get({0, 1}, [&](const RequestBreakdown& r) {
+    ++calls;
+    out = r;
+  });
+  store.queue().RunAll();
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(out.ok);
+  EXPECT_EQ(out.cached_blocks, 2u);
+  EXPECT_EQ(store.Usage().deadline_exceeded, 0u);
+  // Exactly one token release per admitted request.
+  EXPECT_EQ(store.overload()->admission()->in_flight(), 0);
 }
 
 TEST(SimOverloadTest, GenerousDeadlineLeavesRequestsUntouched) {
