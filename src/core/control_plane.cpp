@@ -60,6 +60,8 @@ ControlPlane::ControlPlane(const ECStoreConfig* config, ClusterState* state,
       state_(state),
       rng_(rng),
       defer_solve_(std::move(defer_solve)),
+      default_spec_(config->BlockCodec()),
+      default_family_(GetCodecFamily(default_spec_)),
       load_tracker_(config->num_sites, WithTailParams(load_params, *config)),
       detector_(EffectiveDetectorParams(*config)) {
   const std::size_t n = std::max<std::size_t>(1, config->control_plane_shards);
@@ -225,57 +227,6 @@ void ControlPlane::EvaluateOverload(double now_ms) {
   overload_->UpdateBrownout(now_ms);
 }
 
-ControlPlane::CacheSplit ControlPlane::SplitCached(
-    std::span<const BlockId> ids) {
-  CacheSplit split;
-  split.data.resize(ids.size());
-  split.misses.reserve(ids.size());
-  // Prefetch is the cheapest optional work and the first rung of the
-  // brownout ladder to go under pressure.
-  const bool prefetch = config_->cache_prefetch &&
-                        !(overload_ && overload_->brownout_level() >= 1);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const BlockId id = ids[i];
-    if (!cache_->Lookup(id, state_->BlockVersion(id), &split.data[i])) {
-      split.misses.push_back(id);
-      continue;
-    }
-    ++split.hits;
-    cache_->UpdateWeight(id, BlockAccessFrequency(id));
-    if (!prefetch) continue;
-    for (const CoAccessPartner& p :
-         CoAccessPartnersOf(id, config_->prefetch_max_partners)) {
-      if (p.lambda < config_->prefetch_min_lambda) break;  // λ descending.
-      if (std::find(ids.begin(), ids.end(), p.block) != ids.end()) {
-        continue;  // Already part of this request.
-      }
-      // BeginPrefetch dedups against resident entries and fills already
-      // in flight — at most one fill per block.
-      if (cache_->BeginPrefetch(p.block)) split.prefetch.push_back(p.block);
-    }
-  }
-  return split;
-}
-
-std::optional<std::vector<ControlPlane::CachedBytes>> ControlPlane::CachedOnly(
-    std::span<const BlockId> ids) {
-  if (!cache_ || !overload_ || overload_->brownout_level() < 3) {
-    return std::nullopt;
-  }
-  std::vector<CachedBytes> out(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (!cache_->Lookup(ids[i], state_->BlockVersion(ids[i]), &out[i])) {
-      return std::nullopt;
-    }
-  }
-  return out;
-}
-
-void ControlPlane::FillCache(BlockId id, CachedBytes data, std::uint64_t bytes,
-                             std::uint64_t version) {
-  cache_->Insert(id, std::move(data), bytes, version, BlockAccessFrequency(id));
-}
-
 void ControlPlane::FinishPrefetch(BlockId id, const BlockInfo* filled,
                                   CachedBytes data) {
   // A rewrite or delete since the fill read its layout drops the fill
@@ -428,11 +379,6 @@ CostParams ControlPlane::PlanningCostParamsLocked() {
     o += rng_->NextDouble() * config_->cost_tiebreak_noise * mean;
   }
   return params;
-}
-
-CostParams ControlPlane::PlanningCostParams() {
-  std::lock_guard<std::mutex> lk(rng_mu_);
-  return PlanningCostParamsLocked();
 }
 
 PlanDecision ControlPlane::SelectAccessPlan(
@@ -999,15 +945,6 @@ ControlPlane::PlanCacheTotals ControlPlane::CacheTotals() const {
     t.entries += sh->plan_cache.size();
   }
   return t;
-}
-
-std::size_t ControlPlane::ilp_queue_depth() const {
-  std::size_t depth = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    depth += sh->ilp_queue.size();
-  }
-  return depth;
 }
 
 bool ControlPlane::ilp_worker_busy() const {

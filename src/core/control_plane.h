@@ -19,12 +19,14 @@
 //
 // The plane also builds and owns the BlockCache, ReplicaPromoter and
 // OverloadControl (DESIGN.md §12, §14) — each null when its feature is
-// off — and holds their policy: the per-request cache hit/miss split and
-// the brownout-L3 cache-only check, prefetch claims, the promotion round
-// (demote, then promote, under the budget and size gate), breaker and
-// brownout evaluation, and their Usage() counters. The embodiments keep
-// only the mechanism: scheduling a prefetch fill, and rewriting a
-// block's layout (a catalog swap in the DES, real bytes in LocalECStore).
+// off — and holds their policy: the promotion round (demote, then
+// promote, under the budget and size gate), breaker and brownout
+// evaluation, and their Usage() counters. Each read's lifecycle — its
+// admission, cache split, prefetch claims, plan snapshot, completion and
+// cache fill — is the ReadRequest core's (core/read_request.h), created
+// through BeginRead. The embodiments keep only the mechanism: the read
+// transport, scheduling a prefetch fill, and rewriting a block's layout
+// (a catalog swap in the DES, real bytes in LocalECStore).
 //
 // --- Sharding (DESIGN.md §10) ----------------------------------------
 // The block-keyed mutable structures — co-access window, plan cache,
@@ -75,6 +77,7 @@
 #include "cluster/state.h"
 #include "common/rng.h"
 #include "core/config.h"
+#include "erasure/codec_family.h"
 #include "fault/detector.h"
 #include "placement/mover.h"
 #include "placement/plan_cache.h"
@@ -83,6 +86,9 @@
 #include "stats/load_tracker.h"
 
 namespace ecstore {
+
+class AdmissionTicket;
+class ReadRequest;
 
 /// Control-plane resource usage counters (Table III), extended with the
 /// robustness counters of DESIGN.md §9. The control plane fills what it
@@ -177,8 +183,8 @@ struct PlanDecision {
 /// Internally synchronized (see the sharding note above): MultiGet-path
 /// calls (RecordRequest, SelectAccessPlan, cost snapshots) may run
 /// concurrently from many client threads and only contend per shard.
-/// The reference accessors co_access() / load_tracker() /
-/// failure_detector() / plan_cache() bypass that synchronization — they
+/// The reference accessors co_access() / load_tracker() / plan_cache()
+/// bypass that synchronization — they
 /// are for single-threaded diagnostics (the DES, tests, CLI dumps), not
 /// for use concurrent with live traffic.
 ///
@@ -283,11 +289,6 @@ class ControlPlane {
   /// media model).
   CostParams CurrentCostParams() const;
 
-  /// Cost parameters for one planning decision: CurrentCostParams plus
-  /// the per-call anti-herding tie-break perturbation (see
-  /// ECStoreConfig::cost_tiebreak_noise).
-  CostParams PlanningCostParams();
-
   // --- Chunk read optimizer (Section V-B1) ----------------------------
   /// Selects the access plan for a multiget: cached plan (validated
   /// against the live state) when the cost model is on, greedy fallback
@@ -344,6 +345,23 @@ class ControlPlane {
     plan_observer_ = std::move(observer);
   }
 
+  // --- Read requests (DESIGN.md §5; core/read_request.h) --------------
+  /// Starts one read of `ids` at `now_ms`: takes its admission token and,
+  /// when shed at brownout L3, its cache-only answer.
+  ReadRequest BeginRead(std::span<const BlockId> ids, double now_ms);
+
+  const ECStoreConfig& config() const { return *config_; }
+
+  /// A token from the admission gate for any client request (reads via
+  /// BeginRead, writes directly). Not shed when the gate is off.
+  AdmissionTicket Admit(double now_ms);
+
+  /// The memoized codec family of `spec`; the config default skips the
+  /// registry's lock.
+  std::shared_ptr<const CodecFamily> FamilyFor(const CodecSpec& spec) const {
+    return spec == default_spec_ ? default_family_ : GetCodecFamily(spec);
+  }
+
   // --- Overload control (DESIGN.md §14) -----------------------------
   /// Null when config.overload.Enabled() is false — then no admission
   /// gate, deadline, breaker, or brownout logic runs anywhere. When on,
@@ -351,8 +369,8 @@ class ControlPlane {
   /// candidates while alternatives remain, letting bounded half-open
   /// probes through), and the brownout ladder turns off prefetch at
   /// level >= 1, pauses background ILP, movement and promotion at
-  /// level >= 2, answers refused requests from the cache at level >= 3
-  /// (CachedOnly) and forces δ = 0 at level >= 4.
+  /// level >= 2, answers refused reads from the cache at level >= 3
+  /// (ReadRequest) and forces δ = 0 at level >= 4.
   OverloadControl* overload() const { return overload_.get(); }
 
   /// The periodic breaker and brownout evaluation: feeds every site's
@@ -369,37 +387,10 @@ class ControlPlane {
   /// config.promotion.budget_bytes == 0.
   ReplicaPromoter* promoter() const { return promoter_.get(); }
 
-  /// One request's pass through the cache: every requested block is
-  /// looked up against its live catalog version; each hit refreshes the
-  /// entry's weight and claims prefetch fills for its co-access partners
-  /// (cache_prefetch on, brownout below L1, λ >= prefetch_min_lambda, not
-  /// already in this request, not cached or in flight). The embodiment
-  /// plans and fetches only `misses`, and schedules each `prefetch` fill,
-  /// ending it with FinishPrefetch. Requires the cache.
-  struct CacheSplit {
-    std::vector<CachedBytes> data;  // parallel to the request; hits only
-    std::vector<BlockId> misses;    // request order
-    std::size_t hits = 0;
-    std::vector<BlockId> prefetch;  // claimed fills, in claim order
-  };
-  CacheSplit SplitCached(std::span<const BlockId> ids);
-
-  /// Brownout L3: a request the admission gate refused is still answered
-  /// when every block is validly cached. Returns the cached entries, or
-  /// nullopt (stopping at the first miss) when the ladder is below L3,
-  /// the cache is off, or some block is not cached.
-  std::optional<std::vector<CachedBytes>> CachedOnly(
-      std::span<const BlockId> ids);
-
-  /// Admits a decoded block into the cache at its current access weight,
-  /// tagged with the catalog `version` it was decoded from. Requires the
-  /// cache.
-  void FillCache(BlockId id, CachedBytes data, std::uint64_t bytes,
-                 std::uint64_t version);
-
-  /// Ends a prefetch claimed by SplitCached: admits the fill when
-  /// `filled` (the catalog entry the fill read; null when the block is
-  /// gone or unreadable) is still current, then releases the claim.
+  /// Ends a prefetch claimed by ReadRequest::RecordAndSplit: admits the
+  /// fill when `filled` (the catalog entry the fill read; null when the
+  /// block is gone or unreadable) is still current, then releases the
+  /// claim.
   void FinishPrefetch(BlockId id, const BlockInfo* filled, CachedBytes data);
 
   /// One hybrid-redundancy round, run by the movement round: demotes
@@ -484,8 +475,6 @@ class ControlPlane {
   /// takes over from there. Sites already failed manually are skipped.
   std::vector<SiteId> CheckFailures(double now_ms);
 
-  const FailureDetector& failure_detector() const { return detector_; }
-
   // --- Repair service policy (Section V-C) ----------------------------
   /// Destination for reconstructing a lost chunk of `block`: the
   /// least-loaded available site holding no chunk of the block, or
@@ -514,9 +503,6 @@ class ControlPlane {
   /// which are per-shard-snapshot gauges.
   ControlPlaneUsage Usage() const;
 
-  std::uint64_t ilp_solves() const {
-    return ilp_solves_.load(std::memory_order_relaxed);
-  }
   std::uint64_t moves_executed() const {
     return moves_executed_.load(std::memory_order_relaxed);
   }
@@ -532,8 +518,6 @@ class ControlPlane {
   std::uint64_t repair_chunks_read() const {
     return repair_chunks_read_.load(std::memory_order_relaxed);
   }
-  /// Queued background solves over all shards (locks each in turn).
-  std::size_t ilp_queue_depth() const;
   /// True when any shard's background worker is mid-solve.
   bool ilp_worker_busy() const;
 
@@ -589,7 +573,9 @@ class ControlPlane {
   /// held on entry).
   void RunDeferredSolve(std::size_t shard_idx, std::vector<BlockId> blocks,
                         std::uint32_t delta);
-  /// PlanningCostParams body; caller holds rng_mu_.
+  /// Cost parameters for one planning decision: CurrentCostParams plus
+  /// the per-call anti-herding tie-break perturbation (see
+  /// ECStoreConfig::cost_tiebreak_noise). Caller holds rng_mu_.
   CostParams PlanningCostParamsLocked();
   /// Shared tail of both AdaptiveDelta forms: the smallest d with
   /// P[Binomial(k + d, p) > d] <= epsilon, capped. Handles the off/LB
@@ -623,6 +609,8 @@ class ControlPlane {
   ClusterState* state_;
   Rng* rng_;
   Executor defer_solve_;
+  const CodecSpec default_spec_;
+  const std::shared_ptr<const CodecFamily> default_family_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
 

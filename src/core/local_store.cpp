@@ -12,53 +12,29 @@ namespace ecstore {
 
 namespace {
 
-/// Per-block progress of one parallel fetch round. Flat vectors instead
-/// of node-based sets: a block has at most k+r chunk indices, so linear
-/// membership scans over a pre-reserved vector beat heap-allocating set
-/// nodes on this per-fetch hot path.
-struct BlockGather {
-  std::uint32_t k = 0;              // completion threshold (first k win)
-  bool done = false;                // decodable set delivered
-  std::vector<IndexedChunk> got;    // delivered chunks
-  std::vector<ChunkIndex> have;     // chunk indices present in `got`
-  std::vector<ChunkIndex> tried;    // chunk indices ever issued
-  /// Set only for non-any-k families (LRC): completion then requires the
-  /// delivered set to actually decode, not merely count k. Null keeps
-  /// the MDS fast path: k distinct arrivals complete the block.
-  std::shared_ptr<const CodecFamily> family;
-
-  bool Have(ChunkIndex c) const {
-    return std::find(have.begin(), have.end(), c) != have.end();
-  }
-  bool Tried(ChunkIndex c) const {
-    return std::find(tried.begin(), tried.end(), c) != tried.end();
-  }
-  bool Complete() const {
-    return got.size() >= k && (family == nullptr || family->CanDecode(have));
-  }
-};
-
 /// Shared between the requesting thread and the fetch workers. Jobs hold
 /// a shared_ptr so the context (and its mutex) outlives an abandoned
-/// request with stragglers still queued. Blocks are indexed by demand
-/// order (jobs carry the index), so workers never do a map lookup.
+/// request with stragglers still queued. Workers apply the read core's
+/// completion rule under `mu`; blocks are indexed by demand order.
 struct FetchContext {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<BlockGather> blocks;  // parallel to the request's demands
-  std::size_t unsatisfied = 0;  // blocks still short of k
+  ReadRequest* read = nullptr;  // null once harvested: late arrivals dropped
+  std::vector<std::vector<IndexedChunk>> got;  // delivered, per block
   std::size_t outstanding = 0;  // fetches not yet completed
-  bool harvested = false;       // results collected; late arrivals dropped
   DataPlane::CancelToken cancel =
       std::make_shared<std::atomic<bool>>(false);
 };
 
-/// Releases an admission token on scope exit — the exception-safe pair
-/// of AdmissionController::TryAdmit (DESIGN.md §14).
-struct AdmissionRelease {
-  AdmissionController* admission = nullptr;
-  ~AdmissionRelease() {
-    if (admission) admission->Release();
+/// Detaches a fetch context from its request on every exit from the
+/// fetch phase, exceptional ones too: workers that outlive it then drop
+/// their arrivals instead of touching the request.
+struct Harvest {
+  FetchContext& ctx;
+  ~Harvest() {
+    std::lock_guard<std::mutex> lock(ctx.mu);
+    ctx.read = nullptr;
+    ctx.cancel->store(true, std::memory_order_release);
   }
 };
 
@@ -86,8 +62,6 @@ LocalECStore::LocalECStore(ECStoreConfig config)
             deferred_.push_back(std::move(work));
           }),
       reads_at_last_refresh_(config.num_sites, 0) {
-  default_spec_ = config_.BlockCodec();
-  family_ = GetCodecFamily(default_spec_);
   nodes_.reserve(config_.num_sites);
   for (std::size_t j = 0; j < config_.num_sites; ++j) {
     nodes_.push_back(std::make_unique<StorageNode>());
@@ -132,16 +106,10 @@ void LocalECStore::WaitForPrefetches() {
   if (prefetch_pool_) prefetch_pool_->WaitIdle();
 }
 
-std::shared_ptr<const CodecFamily> LocalECStore::FamilyFor(
-    const CodecSpec& spec) const {
-  if (spec == default_spec_) return family_;
-  return GetCodecFamily(spec);
-}
-
 void LocalECStore::StoreEncoded(BlockId id, std::span<const std::uint8_t> data,
                                 const CodecSpec& spec,
                                 std::span<const SiteId> sites) {
-  const auto family = FamilyFor(spec);
+  const auto family = control_plane_.FamilyFor(spec);
   std::vector<ChunkData> chunks = family->Encode(data);
   if (sites.size() != chunks.size()) {
     throw std::runtime_error("LocalECStore::Put: wrong site count");
@@ -157,7 +125,7 @@ void LocalECStore::StoreEncoded(BlockId id, std::span<const std::uint8_t> data,
 }
 
 void LocalECStore::Put(BlockId id, std::span<const std::uint8_t> data) {
-  Put(id, data, default_spec_);
+  Put(id, data, config_.BlockCodec());
 }
 
 void LocalECStore::Put(BlockId id, std::span<const std::uint8_t> data,
@@ -165,12 +133,8 @@ void LocalECStore::Put(BlockId id, std::span<const std::uint8_t> data,
   // Admission gate (DESIGN.md §14): writes compete for the same tokens
   // as reads. The explicit-sites Put overload stays ungated — it is the
   // bulk-load/parity seam, not client traffic.
-  AdmissionRelease release;
-  OverloadControl* const overload = control_plane_.overload();
-  if (overload && overload->gate_enabled()) {
-    if (!overload->admission()->TryAdmit(NowMs())) throw RequestShedError();
-    release.admission = overload->admission();
-  }
+  const AdmissionTicket ticket = control_plane_.Admit(NowMs());
+  if (ticket.shed()) throw RequestShedError();
   std::lock_guard<std::mutex> lock(meta_mu_);
   const std::vector<SiteId> sites = control_plane_.SelectWriteSites(spec);
   if (sites.empty()) {
@@ -182,7 +146,7 @@ void LocalECStore::Put(BlockId id, std::span<const std::uint8_t> data,
 void LocalECStore::Put(BlockId id, std::span<const std::uint8_t> data,
                        std::span<const SiteId> sites) {
   std::lock_guard<std::mutex> lock(meta_mu_);
-  StoreEncoded(id, data, default_spec_, sites);
+  StoreEncoded(id, data, config_.BlockCodec(), sites);
 }
 
 std::vector<std::uint8_t> LocalECStore::Get(BlockId id) {
@@ -191,45 +155,28 @@ std::vector<std::uint8_t> LocalECStore::Get(BlockId id) {
 }
 
 std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
-    const AccessPlan& plan, std::span<const BlockDemand> demands,
-    std::vector<BlockMeta>& meta,
-    std::chrono::steady_clock::time_point deadline) {
+    ReadRequest& read, std::chrono::steady_clock::time_point deadline) {
   auto ctx = std::make_shared<FetchContext>();
 
-  // Block id -> demand index, sorted once so plan reads resolve with a
-  // binary search instead of a map.
-  std::vector<std::pair<BlockId, std::size_t>> index;
-  index.reserve(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    index.emplace_back(demands[i].block, i);
-  }
-  std::sort(index.begin(), index.end());
-  const auto index_of = [&index](BlockId block) {
-    const auto it = std::lower_bound(
-        index.begin(), index.end(), block,
-        [](const auto& e, BlockId b) { return e.first < b; });
-    return it->second;  // Plan reads only reference demanded blocks.
-  };
-
   // Enqueue one data-plane job per fetch. The caller must hold ctx->mu
-  // and have bumped `outstanding` / recorded `tried` beforehand. Workers
-  // touch only the context, the node, and their own queue — never the
-  // store's metadata lock. The node read goes through FetchChunk: the
-  // error-injected, checksum-verified data path, where a corrupt chunk or
-  // a transient I/O error surfaces as a miss.
-  const auto issue = [this, &ctx, deadline](std::size_t gi, BlockId block,
-                                            ChunkIndex chunk, SiteId site) {
-    StorageNode* node = nodes_[site].get();
+  // and have bumped `outstanding` beforehand. Workers touch only the
+  // context, the node, and their own queue — never the store's metadata
+  // lock. The node read goes through FetchChunk: the error-injected,
+  // checksum-verified data path, where a corrupt chunk or a transient
+  // I/O error surfaces as a miss.
+  const auto issue = [this, &ctx, &read, deadline](const ChunkFetch& f) {
+    StorageNode* node = nodes_[f.site].get();
+    const BlockId block = read.blocks()[f.block_index].block;
     data_plane_->Submit(
-        site,
-        [ctx, node, gi, block, chunk](bool cancelled) {
+        f.site,
+        [ctx, node, gi = f.block_index, block,
+         chunk = f.chunk](bool cancelled) {
           std::shared_ptr<const ChunkData> data;
           if (!cancelled) {
             bool skip;  // Block already complete: ignore the straggler.
             {
               std::lock_guard<std::mutex> lock(ctx->mu);
-              const BlockGather& g = ctx->blocks[gi];
-              skip = ctx->harvested || g.done;
+              skip = ctx->read == nullptr || ctx->read->blocks()[gi].complete;
             }
             // A failed node, a moved/deleted chunk, a checksum mismatch,
             // or an injected I/O error answers nullptr — a miss, routed
@@ -237,20 +184,13 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
             if (!skip) data = node->FetchChunk(block, chunk);
           }
           std::lock_guard<std::mutex> lock(ctx->mu);
-          BlockGather& g = ctx->blocks[gi];
-          if (data != nullptr && !ctx->harvested && !g.done &&
-              !g.Have(chunk)) {
-            g.have.push_back(chunk);
-            g.got.push_back({chunk, *data});
-            // An MDS block completes on its first k arrivals; a non-any-k
-            // block (LRC) completes when the delivered set decodes.
-            if (g.Complete()) {
-              g.done = true;
-              if (--ctx->unsatisfied == 0) {
-                // Every block is complete: still-queued fetches are
-                // stragglers — cancel them at the queue.
-                ctx->cancel->store(true, std::memory_order_release);
-              }
+          if (data != nullptr && ctx->read != nullptr &&
+              ctx->read->block(gi).Deliver(chunk)) {
+            ctx->got[gi].push_back({chunk, *data});
+            // Every block is complete: still-queued fetches are
+            // stragglers — cancel them at the queue.
+            if (ctx->read->complete()) {
+              ctx->cancel->store(true, std::memory_order_release);
             }
           }
           --ctx->outstanding;
@@ -259,34 +199,25 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
         ctx->cancel, deadline);
   };
 
-  {
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    ctx->blocks.resize(demands.size());
-    for (std::size_t i = 0; i < demands.size(); ++i) {
-      BlockGather& g = ctx->blocks[i];
-      g.k = meta[i].k;
-      if (!meta[i].family->AnyKDecodes()) g.family = meta[i].family;
-      g.got.reserve(g.k);
-      g.have.reserve(meta[i].locations.size());
-      g.tried.reserve(meta[i].locations.size());
-    }
-    ctx->unsatisfied = ctx->blocks.size();
-    for (const ChunkRead& read : plan.reads) {
-      const std::size_t gi = index_of(read.block);
-      BlockGather& g = ctx->blocks[gi];
-      if (!g.Tried(read.chunk)) g.tried.push_back(read.chunk);
-      ++ctx->outstanding;
-      issue(gi, read.block, read.chunk, read.site);
-    }
+  const Harvest harvest{*ctx};  // Destroyed after `lock`.
+  std::unique_lock<std::mutex> lock(ctx->mu);
+  ctx->read = &read;
+  ctx->got.resize(read.blocks().size());
+  for (std::size_t i = 0; i < ctx->got.size(); ++i) {
+    ctx->got[i].reserve(read.blocks()[i].info.k);
+  }
+  for (const ChunkFetch& f : read.planned()) {
+    ++ctx->outstanding;
+    issue(f);
   }
 
   // Wait for the race to settle, then run bounded retry rounds for blocks
-  // still short of k (DESIGN.md §9). Round 1 is the hedge: it fires when
-  // the per-fetch deadline expires (or when every fetch already finished
-  // short) and issues each short block's *untried* chunks. Later rounds —
-  // enabled by raising retry.max_retries — wait a jittered exponential
-  // backoff and re-issue everything undelivered, re-rolling transient
-  // errors, until the rounds or the request's deadline budget run out.
+  // still incomplete (DESIGN.md §9) over the read core's candidates. Round
+  // 1 is the hedge: it fires when the per-fetch deadline expires (or when
+  // every fetch already finished short). Later rounds — enabled by
+  // raising retry.max_retries — wait a jittered exponential backoff and
+  // re-roll transient errors, until the rounds or the request's deadline
+  // budget run out.
   const double deadline_ms = config_.data_plane.fetch_deadline_ms;
   // End-to-end deadline (DESIGN.md §14): cap the retry schedule's
   // budget to the request's remaining time, so no retry round whose
@@ -314,10 +245,7 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
         .count();
   };
 
-  std::unique_lock<std::mutex> lock(ctx->mu);
-  const auto settled = [&ctx] {
-    return ctx->unsatisfied == 0 || ctx->outstanding == 0;
-  };
+  const auto settled = [&] { return read.complete() || ctx->outstanding == 0; };
   for (int round = 1;; ++round) {
     if (deadline_ms > 0) {
       ctx->cv.wait_for(
@@ -326,7 +254,7 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
     } else {
       ctx->cv.wait(lock, settled);
     }
-    if (ctx->unsatisfied == 0) break;
+    if (read.complete()) break;
     if (!schedule.ShouldRetry(round, elapsed_ms())) {
       // Budget spent: let whatever is still in flight finish, then fall
       // through to the degraded path for the blocks that stayed short.
@@ -337,92 +265,51 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
     if (backoff > 0) {
       ctx->cv.wait_for(lock,
                        std::chrono::duration<double, std::milli>(backoff),
-                       [&ctx] { return ctx->unsatisfied == 0; });
-      if (ctx->unsatisfied == 0) break;
+                       [&read] { return read.complete(); });
+      if (read.complete()) break;
     }
-    std::size_t reissued = 0;
-    for (std::size_t i = 0; i < ctx->blocks.size(); ++i) {
-      BlockGather& g = ctx->blocks[i];
-      if (g.done) continue;
-      for (const ChunkLocation& loc : meta[i].locations) {
-        if (g.Have(loc.chunk)) continue;
-        if (round == 1 && g.Tried(loc.chunk)) continue;
-        if (!g.Tried(loc.chunk)) g.tried.push_back(loc.chunk);
-        ++ctx->outstanding;
-        ++reissued;
-        issue(i, meta[i].block, loc.chunk, loc.site);
-      }
+    const std::vector<ChunkFetch> retry = read.RetryCandidates(round);
+    for (const ChunkFetch& f : retry) {
+      ++ctx->outstanding;
+      issue(f);
     }
-    retried_fetches_.fetch_add(reissued, std::memory_order_relaxed);
-    if (reissued == 0 && ctx->outstanding == 0) break;  // Nothing left to try.
+    retried_fetches_.fetch_add(retry.size(), std::memory_order_relaxed);
+    if (retry.empty() && ctx->outstanding == 0) break;  // Nothing left to try.
   }
 
-  ctx->harvested = true;
+  ctx->read = nullptr;
   ctx->cancel->store(true, std::memory_order_release);
-  std::vector<std::vector<IndexedChunk>> fetched(ctx->blocks.size());
-  bool short_of_k = false;
-  for (std::size_t i = 0; i < ctx->blocks.size(); ++i) {
-    if (!ctx->blocks[i].done) short_of_k = true;
-    fetched[i] = std::move(ctx->blocks[i].got);
-  }
+  std::vector<std::vector<IndexedChunk>> fetched = std::move(ctx->got);
   lock.unlock();
 
-  if (!short_of_k) return fetched;
+  if (read.complete()) return fetched;
 
-  // Degraded read: the plan could not deliver k chunks for some block.
-  // Its cached form is stale, and any k reachable chunks will do — the
+  // Degraded read: the plan could not complete some block. Its cached
+  // form is stale, and any decodable reachable chunks will do — the
   // client-side rerouting of Section VI-C4. Runs under the metadata lock
   // so the catalog, site availability, and node contents are consistent
   // (no mover/repair can commit mid-scan); the direct GetChunk reads
   // bypass injected data-plane latency and error injection (they are
   // still checksum-verified), keeping the fallback deterministic.
   std::lock_guard<std::mutex> meta_lock(meta_mu_);
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const BlockId block = demands[i].block;
-    auto& got = fetched[i];
+  for (std::size_t i = 0; i < fetched.size(); ++i) {
+    const BlockId block = read.blocks()[i].block;
     const BlockInfo& info = state_.GetBlock(block);
-    if (info.version != meta[i].version) {
+    if (info.version != read.blocks()[i].info.version) {
       // The block was rewritten after our snapshot — a promotion or
       // demotion swapped its codec, so chunks fetched against the old
       // layout are from a different encoding and must not be mixed with
       // (or decoded as) the new one. Drop them and re-read below against
-      // the committed layout; refresh the snapshot so the caller decodes
-      // with the right family and tags any cache fill with the live
-      // version.
-      got.clear();
-      meta[i].k = info.k;
-      meta[i].block_bytes = info.block_bytes;
-      meta[i].version = info.version;
-      meta[i].locations = info.locations;
-      meta[i].family = FamilyFor(info.codec);
+      // the committed layout, whose family and version the caller then
+      // decodes and fills with.
+      fetched[i].clear();
+      read.Resnapshot(i, info);
     }
-    std::vector<ChunkIndex> have;
-    have.reserve(info.locations.size());
-    for (const IndexedChunk& c : got) have.push_back(c.index);
-    // Decodability is the family's call: any k distinct for MDS
-    // families, a pattern-dependent check for LRC (where k local and
-    // global chunks may still not span the block).
-    const auto decodable = [&] {
-      return got.size() >= info.k &&
-             (meta[i].family->AnyKDecodes() || meta[i].family->CanDecode(have));
-    };
-    if (decodable()) continue;
+    if (read.blocks()[i].complete) continue;
 
     degraded_reads_.fetch_add(1, std::memory_order_relaxed);
     control_plane_.InvalidateBlock(block);
-    const auto has = [&have](ChunkIndex c) {
-      return std::find(have.begin(), have.end(), c) != have.end();
-    };
-    for (const ChunkLocation& loc : info.locations) {
-      if (decodable()) break;
-      if (has(loc.chunk)) continue;
-      if (!state_.IsSiteAvailable(loc.site)) continue;
-      const auto data = nodes_[loc.site]->GetChunk(block, loc.chunk);
-      if (data == nullptr) continue;
-      got.push_back({loc.chunk, *data});
-      have.push_back(loc.chunk);
-    }
-    if (!decodable()) {
+    if (!GatherReachableLocked(read.block(i), fetched[i])) {
       throw std::runtime_error(
           "LocalECStore::MultiGet: block unreadable after degraded replan");
     }
@@ -433,26 +320,22 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
 std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
     std::span<const BlockId> ids) {
   // Admission gate (DESIGN.md §14): refuse excess requests before any
-  // planning work is spent on them.
-  AdmissionRelease release;
-  OverloadControl* const overload = control_plane_.overload();
-  if (overload && overload->gate_enabled()) {
-    if (!overload->admission()->TryAdmit(NowMs())) {
-      // Brownout L3 (cache-only answers): a refused request can still
-      // be served — free of fan-out — when every block sits validly in
-      // the decoded-block cache.
-      if (const auto hits = control_plane_.CachedOnly(ids)) {
-        std::vector<std::vector<std::uint8_t>> out;
-        out.reserve(ids.size());
-        for (const auto& hit : *hits) out.push_back(*hit);
-        return out;
-      }
-      throw RequestShedError();
+  // planning work is spent on them; the token returns when `read` dies.
+  ReadRequest read = control_plane_.BeginRead(ids, NowMs());
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(ids.size());
+  if (read.admission() == ReadRequest::Admission::kShed) {
+    throw RequestShedError();
+  }
+  if (read.admission() == ReadRequest::Admission::kCachedOnly) {
+    for (std::size_t pos = 0; pos < ids.size(); ++pos) {
+      out.push_back(*read.cached(pos));
     }
-    release.admission = overload->admission();
+    return out;
   }
   // End-to-end deadline (DESIGN.md §14): the absolute budget flows into
   // the fetch fan-out (per-site queue expiry) and the retry schedule.
+  OverloadControl* const overload = control_plane_.overload();
   const auto deadline =
       overload && overload->deadline_ms() > 0
           ? std::chrono::steady_clock::now() +
@@ -467,104 +350,49 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
   // racing this path is absorbed downstream — a chunk that moved after
   // the snapshot comes back as a miss and the retry rounds / degraded
   // path re-resolve it against the committed catalog.
-  control_plane_.RecordRequest(ids);
   const std::uint64_t seq =
       gets_since_refresh_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (seq % 64 == 0) RefreshLoadFromCounters();
 
-  // Cache tier (DESIGN.md §12): serve version-valid decoded blocks from
-  // memory and plan/fetch only the misses. The λ-driven prefetch fires
-  // off each hit's co-access partners before the miss fan-out starts, so
-  // warming overlaps the fetch.
-  const bool cached = control_plane_.block_cache() != nullptr;
-  ControlPlane::CacheSplit split;
-  if (cached) {
-    split = control_plane_.SplitCached(ids);
-    for (BlockId block : split.prefetch) {
-      prefetch_pool_->Submit([this, block] { PrefetchBlock(block); });
-    }
-    if (split.misses.empty()) {
-      std::vector<std::vector<std::uint8_t>> out;
-      out.reserve(ids.size());
-      for (const auto& h : split.data) out.push_back(*h);
-      if (!bg_pool_) DrainBackgroundWork();
-      return out;
-    }
+  // Statistics sampling, then the cache tier (DESIGN.md §12): serve
+  // version-valid decoded blocks from memory and plan/fetch only the
+  // misses. The λ-driven prefetch fires off each hit's co-access partners
+  // before the miss fan-out starts, so warming overlaps the fetch.
+  for (BlockId block : read.RecordAndSplit()) {
+    prefetch_pool_->Submit([this, block] { PrefetchBlock(block); });
   }
-  const std::span<const BlockId> fetch_ids =
-      cached ? std::span<const BlockId>(split.misses) : ids;
-
-  // Per-request late-binding fan-out: static δ, or the adaptive policy's
-  // straggler-probability-derived value over the sites this request's
-  // plan can actually touch (DESIGN.md §13).
-  const std::uint32_t delta = control_plane_.AdaptiveDelta(fetch_ids);
-  DemandResult dr = BuildDemands(state_, fetch_ids, delta);
-  for (std::size_t i = 0; i < dr.readable.size(); ++i) {
-    if (!dr.readable[i]) {
+  std::vector<std::vector<IndexedChunk>> fetched;
+  if (!read.AllCached()) {
+    if (!read.Plan()) {
       throw std::runtime_error("LocalECStore::MultiGet: block unreadable");
     }
-  }
-
-  // R2: one shared plan decision — cached plan, greedy fallback, or the
-  // random baseline. Never an inline ILP solve.
-  PlanDecision decision =
-      control_plane_.SelectAccessPlan(fetch_ids, dr.demands, delta);
-
-  // Catalog snapshot, one stripe-locked copy per demanded block, so the
-  // lock-free fetch phase never reads mutable state.
-  std::vector<BlockMeta> meta;
-  meta.reserve(dr.demands.size());
-  BlockInfo info;
-  for (const BlockDemand& d : dr.demands) {
-    if (!state_.ReadBlock(d.block, &info)) {
-      // Deleted between planning and the snapshot.
-      throw std::runtime_error("LocalECStore::MultiGet: block unreadable");
+    fetched = FetchChunks(read, deadline);
+    if (deadline != std::chrono::steady_clock::time_point::max() &&
+        std::chrono::steady_clock::now() >= deadline) {
+      // The budget is spent: the caller has given up, so decoding now
+      // would only deliver a late answer. Distinct from data loss — every
+      // chunk fetched above remains durable.
+      overload->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
+      throw DeadlineExceededError();
     }
-    meta.push_back(BlockMeta{d.block, info.k, info.block_bytes, info.version,
-                             std::move(info.locations), FamilyFor(info.codec)});
   }
 
-  // Fetch chunks per block in parallel; a late-binding plan fetches
-  // extras and each block completes on its first k arrivals.
-  std::vector<std::vector<IndexedChunk>> fetched =
-      FetchChunks(decision.plan, dr.demands, meta, deadline);
-
-  if (deadline != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= deadline) {
-    // The budget is spent: the caller has given up, so decoding now
-    // would only deliver a late answer. Distinct from data loss — every
-    // chunk fetched above remains durable.
-    overload->deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    throw DeadlineExceededError();
-  }
-
-  // Demand index per requested id (requests are small; the scan is over
-  // the deduplicated demand list).
-  const auto meta_index = [&meta](BlockId id) {
-    for (std::size_t i = 0; i < meta.size(); ++i) {
-      if (meta[i].block == id) return i;
-    }
-    throw std::logic_error("LocalECStore::MultiGet: id missing from demands");
-  };
-  std::vector<std::vector<std::uint8_t>> out;
-  out.reserve(ids.size());
+  const bool cache_on = control_plane_.block_cache() != nullptr;
   for (std::size_t pos = 0; pos < ids.size(); ++pos) {
-    const BlockId id = ids[pos];
-    if (cached && split.data[pos] != nullptr) {
-      out.push_back(*split.data[pos]);
+    if (const auto& hit = read.cached(pos)) {
+      out.push_back(*hit);
       continue;
     }
-    const std::size_t i = meta_index(id);
-    if (cached) {
-      // Fill through a shared buffer tagged with the snapshot-time
-      // version: if the block was rewritten mid-fetch, the entry simply
-      // never validates again.
+    const std::size_t i = read.IndexOf(ids[pos]);
+    const BlockRead& b = read.blocks()[i];
+    if (cache_on) {
+      // Fill through a shared buffer tagged with the snapshot version.
       auto decoded = std::make_shared<const std::vector<std::uint8_t>>(
-          meta[i].family->Decode(fetched[i], meta[i].block_bytes));
-      control_plane_.FillCache(id, decoded, decoded->size(), meta[i].version);
+          b.family->Decode(fetched[i], b.info.block_bytes));
+      read.FillCache(i, decoded);
       out.push_back(*decoded);
     } else {
-      out.push_back(meta[i].family->Decode(fetched[i], meta[i].block_bytes));
+      out.push_back(b.family->Decode(fetched[i], b.info.block_bytes));
     }
   }
 
@@ -701,7 +529,7 @@ std::optional<ChunkData> LocalECStore::RebuildChunk(BlockId block,
                                                     const BlockInfo& info,
                                                     ChunkIndex target,
                                                     SiteId exclude_site) {
-  const auto family = FamilyFor(info.codec);
+  const auto family = control_plane_.FamilyFor(info.codec);
 
   // Reachable survivor pool: each chunk index the family may plan over,
   // with the site the catalog places it at.
@@ -883,26 +711,25 @@ void LocalECStore::MaintenanceLoop() {
   }
 }
 
-std::optional<std::vector<std::uint8_t>> LocalECStore::ReadBlockBytesLocked(
-    BlockId id, const BlockInfo& info) {
-  const auto family = FamilyFor(info.codec);
-  std::vector<IndexedChunk> got;
-  std::vector<ChunkIndex> have;
-  got.reserve(info.k);
-  have.reserve(info.locations.size());
-  for (const ChunkLocation& loc : info.locations) {
-    if (!state_.IsSiteAvailable(loc.site)) continue;
-    if (std::find(have.begin(), have.end(), loc.chunk) != have.end()) continue;
-    const auto data = nodes_[loc.site]->GetChunk(id, loc.chunk);
-    if (data == nullptr) continue;
-    have.push_back(loc.chunk);
-    got.push_back({loc.chunk, *data});
-    if (got.size() >= info.k &&
-        (family->AnyKDecodes() || family->CanDecode(have))) {
-      return family->Decode(got, info.block_bytes);
+bool LocalECStore::GatherReachableLocked(BlockRead& b,
+                                         std::vector<IndexedChunk>& got) {
+  for (const ChunkLocation& loc : b.info.locations) {
+    if (b.complete) break;
+    if (b.Has(loc.chunk) || !state_.IsSiteAvailable(loc.site)) continue;
+    const auto data = nodes_[loc.site]->GetChunk(b.block, loc.chunk);
+    if (data != nullptr && b.Deliver(loc.chunk)) {
+      got.push_back({loc.chunk, *data});
     }
   }
-  return std::nullopt;
+  return b.complete;
+}
+
+std::optional<std::vector<std::uint8_t>> LocalECStore::ReadBlockBytesLocked(
+    BlockId id, const BlockInfo& info) {
+  BlockRead b(id, info, control_plane_.FamilyFor(info.codec));
+  std::vector<IndexedChunk> got;
+  if (!GatherReachableLocked(b, got)) return std::nullopt;
+  return b.family->Decode(got, info.block_bytes);
 }
 
 void LocalECStore::PrefetchBlock(BlockId id) {
@@ -941,7 +768,7 @@ bool LocalECStore::RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
   // catalog or its only readable copy gone.
   const auto data = ReadBlockBytesLocked(id, old_info);
   if (!data) return false;  // Not decodable right now; retry next round.
-  const auto family = FamilyFor(spec);
+  const auto family = control_plane_.FamilyFor(spec);
   std::vector<ChunkData> chunks = family->Encode(*data);
   if (sites.size() != chunks.size()) {
     throw std::runtime_error("LocalECStore::RewriteBlockLocked: wrong site count");

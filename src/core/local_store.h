@@ -5,20 +5,18 @@
 // nodes, reads execute genuine access plans against those nodes, decoding
 // runs the GF(2^8) arithmetic, chunk movement copies real bytes, and
 // repair reconstructs lost chunks from k survivors. Every policy decision
-// (access plans, write placement, movement, repair destinations) comes
-// from the same shared ControlPlane the simulator drives — this class
-// contributes only the data plane.
+// comes from the same shared ControlPlane the simulator drives, and every
+// read decision from the same ReadRequest core — this class contributes
+// only the data plane.
 //
-// The data plane is concurrent (DESIGN.md §8): FetchChunks fans every
-// planned chunk read out to a per-site worker pool (core/data_plane.h)
-// and, for late-binding plans, completes each block on the first k
+// The data plane is concurrent (DESIGN.md §8): FetchChunks fans the
+// core's planned fetches out to a per-site worker pool
+// (core/data_plane.h), and each block completes on its first decodable
 // arrivals — stragglers are cancelled or ignored, which is the paper's
-// EC+LB technique running on real bytes. When a block is still short of
-// k (a deadline expired, or fetches came back as misses — failed nodes,
-// corrupt chunks, injected I/O errors), a bounded-retry policy
-// (DataPlaneParams::retry: exponential backoff + jitter under a
-// per-request deadline budget) re-issues the block's undelivered chunks
-// before the degraded-read path takes over.
+// EC+LB technique running on real bytes. A block still incomplete (a
+// deadline expired, or fetches came back as misses — failed nodes,
+// corrupt chunks, injected I/O errors) gets bounded retry rounds
+// (DataPlaneParams::retry) before the degraded-read path takes over.
 //
 // Robustness (DESIGN.md §9): every chunk read is CRC32C-verified at the
 // node, so corruption surfaces as an erasure and is decoded around; an
@@ -53,7 +51,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -67,12 +64,12 @@
 #include "core/config.h"
 #include "core/control_plane.h"
 #include "core/data_plane.h"
+#include "core/read_request.h"
 #include "core/repair.h"
 #include "core/storage_node.h"
 #include "erasure/codec_family.h"
 #include "fault/injector.h"
 #include "placement/mover.h"
-#include "placement/planner.h"
 #include "stats/co_access.h"
 #include "stats/load_tracker.h"
 
@@ -226,25 +223,6 @@ class LocalECStore {
   CostParams CurrentCostParams() const;
 
  private:
-  /// Per-block catalog snapshot copied at planning time (one stripe-locked
-  /// ReadBlock per block), so the lock-free fetch phase never reads
-  /// mutable state. One entry per demand, in demand order.
-  struct BlockMeta {
-    BlockId block = kInvalidBlock;
-    std::uint32_t k = 0;
-    std::uint64_t block_bytes = 0;
-    /// Coherence version at snapshot time: the version a cache fill of
-    /// this fetch's decode is tagged with (DESIGN.md §12).
-    std::uint64_t version = 0;
-    std::vector<ChunkLocation> locations;
-    /// The block's codec family (per-block: families coexist). Shared
-    /// ownership so straggler fetch workers can outlive the request.
-    std::shared_ptr<const CodecFamily> family;
-  };
-
-  /// The memoized family for `spec` (fast-path: the config default).
-  std::shared_ptr<const CodecFamily> FamilyFor(const CodecSpec& spec) const;
-
   /// Serialized internally by refresh_mu_; callable with or without
   /// meta_mu_ held (lock order: meta_mu_ before refresh_mu_).
   void RefreshLoadFromCounters();
@@ -267,8 +245,12 @@ class LocalECStore {
                                         ChunkIndex target,
                                         SiteId exclude_site);
   void MaintenanceLoop();
-  /// Reads + decodes one whole block from reachable verified chunks
-  /// (bypassing injected latency/errors). Requires meta_mu_ held.
+  /// Delivers verified chunks of `b` from its reachable locations
+  /// (bypassing injected latency/errors) until it completes; true when it
+  /// did. Requires meta_mu_ held.
+  bool GatherReachableLocked(BlockRead& b, std::vector<IndexedChunk>& got);
+  /// Reads + decodes one whole block through GatherReachableLocked.
+  /// Requires meta_mu_ held.
   std::optional<std::vector<std::uint8_t>> ReadBlockBytesLocked(
       BlockId id, const BlockInfo& info);
   /// One prefetch fill claimed by the control plane: fetch + decode,
@@ -284,36 +266,26 @@ class LocalECStore {
   /// the degraded path's version refresh. Requires meta_mu_ held.
   bool RewriteBlockLocked(BlockId id, const BlockInfo& old_info,
                           const CodecSpec& spec, std::span<const SiteId> sites);
-  /// Fans every planned chunk read out to the data plane, completes each
-  /// block on its first k arrivals (cancelling/ignoring late-binding
-  /// stragglers), runs bounded retry rounds (config.data_plane.retry)
-  /// against blocks still short of k — the first round hedges the block's
-  /// untried chunks, later rounds re-issue everything undelivered — then
-  /// tops up any block still short from whatever reachable chunks remain
-  /// (the degraded-read path, under the metadata lock). Throws when a
-  /// block stays short of k. Called WITHOUT meta_mu_ held. Returns the
-  /// delivered chunks per block, parallel to `demands`/`meta`. `meta` is
-  /// mutable because the degraded path refreshes a snapshot whose block
-  /// was rewritten mid-fetch (promotion/demotion changed its codec):
-  /// chunks from the old encoding are dropped and the entry is re-read
-  /// so the caller decodes with the committed layout's family/version.
-  /// `deadline` (steady-clock absolute; max() = none) is the request's
-  /// end-to-end budget: fetch jobs enqueue with it (expiring at the
-  /// per-site queue once it passes) and the retry schedule's budget is
-  /// capped to the time remaining, so no retry round is issued whose
-  /// earliest completion would land past it.
+  /// The read transport around the shared ReadRequest core: fans the
+  /// core's planned fetches out to the data plane, where workers apply
+  /// its completion rule (stragglers cancelled or ignored); runs bounded
+  /// retry rounds (config.data_plane.retry) over its retry candidates;
+  /// then tops up any block still incomplete from whatever reachable
+  /// chunks remain (the degraded-read path, under the metadata lock),
+  /// re-snapshotting a block a promotion/demotion rewrote mid-fetch so
+  /// old-encoding chunks are never mixed with the new layout. Throws when
+  /// a block stays incomplete. Called WITHOUT meta_mu_ held. Returns the
+  /// delivered chunks per block, parallel to read.blocks(). `deadline`
+  /// (steady-clock absolute; max() = none) is the request's end-to-end
+  /// budget: fetch jobs enqueue with it (expiring at the per-site queue
+  /// once it passes) and the retry schedule's budget is capped to the
+  /// time remaining, so no retry round is issued whose earliest
+  /// completion would land past it.
   std::vector<std::vector<IndexedChunk>> FetchChunks(
-      const AccessPlan& plan, std::span<const BlockDemand> demands,
-      std::vector<BlockMeta>& meta,
-      std::chrono::steady_clock::time_point deadline =
-          std::chrono::steady_clock::time_point::max());
+      ReadRequest& read, std::chrono::steady_clock::time_point deadline);
 
   ECStoreConfig config_;
   Rng rng_;
-  /// The config-default codec family (DESIGN.md §11) and its spec,
-  /// cached so the common same-family path skips the registry probe.
-  CodecSpec default_spec_;
-  std::shared_ptr<const CodecFamily> family_;
   std::vector<std::unique_ptr<StorageNode>> nodes_;
   ClusterState state_;
   ControlPlane control_plane_;

@@ -14,10 +14,13 @@ constexpr std::size_t kProbeMsgBytes = 32;
 
 }  // namespace
 
-/// In-flight multiget state. Shared by the chunk-arrival events.
+/// In-flight multiget: the shared read core plus this transport's timing
+/// state. Shared by the chunk-arrival events.
 struct SimECStore::PendingRequest {
-  std::vector<BlockId> blocks;
-  std::vector<BlockDemand> demands;  // parallel to blocks after dedup
+  PendingRequest(ControlPlane& cp, std::span<const BlockId> ids, SimTime now)
+      : read(cp.BeginRead(ids, ToMillis(now))), start(now) {}
+
+  ReadRequest read;
   GetCallback done;
 
   SimTime start = 0;
@@ -25,18 +28,8 @@ struct SimECStore::PendingRequest {
   SimTime planning = 0;
   SimTime retrieval_start = 0;
   SimTime retrieval = 0;
-  bool cache_hit = false;
-  std::uint32_t cached_blocks = 0;  // served from the decoded-block cache
-  // Catalog version per demand, captured at plan time: a completed fetch
-  // fills the cache only if the block's version is still current (a
-  // mid-flight Put/move/repair rewrite must not leave stale bytes).
-  std::vector<std::uint64_t> versions;
-
-  // Per-demand completion tracking.
-  std::vector<std::uint32_t> remaining;            // chunks still needed
-  std::vector<std::vector<ChunkIndex>> received;   // first k indices kept
-  std::size_t blocks_remaining = 0;
   std::uint32_t sites_accessed = 0;
+  std::size_t outstanding = 0;  // issued reads of this generation in flight
   bool finished = false;  // retrieval barrier passed (late chunks ignored)
   // Bumped on every (re)issue; in-flight chunk events from an older
   // generation are ignored after a failure-triggered re-plan.
@@ -116,56 +109,33 @@ void SimECStore::Start() {
 
 void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
   const SimTime start = queue_.Now();
-  OverloadControl* const overload = control_plane_.overload();
-
-  // Admission gate (DESIGN.md §14): refuse excess requests before any
-  // control-plane work is spent on them.
-  if (overload && overload->gate_enabled() &&
-      !overload->admission()->TryAdmit(ToMillis(start))) {
-    // Brownout L3 (cache-only answers): a refused request can still be
-    // served — free of fan-out — when every block sits validly in the
-    // decoded-block cache.
-    if (control_plane_.CachedOnly(blocks)) {
-      const auto cached = static_cast<std::uint32_t>(blocks.size());
-      const SimTime serve =
-          config_.cache_hit_cost * static_cast<SimTime>(cached);
-      queue_.ScheduleAfter(serve,
-                           [this, start, cached, done = std::move(done)] {
-        RequestBreakdown out;
-        out.total = queue_.Now() - start;
-        out.ok = true;
-        out.cached_blocks = cached;
-        ++requests_completed_;
-        done(out);
-      });
-      return;
-    }
-    // Fast-fail shed: the modeled rejection cost, orders of magnitude
-    // below a served request.
-    queue_.ScheduleAfter(FromMillis(config_.overload.shed_penalty_ms),
-                         [this, start, done = std::move(done)] {
+  auto req = std::make_shared<PendingRequest>(control_plane_, blocks, start);
+  if (req->read.admission() != ReadRequest::Admission::kAdmitted) {
+    // Refused at the gate: a brownout-L3 cache-only answer, or the
+    // fast-fail shed's modeled rejection cost.
+    const bool cached =
+        req->read.admission() == ReadRequest::Admission::kCachedOnly;
+    const auto n = static_cast<std::uint32_t>(blocks.size());
+    const SimTime serve =
+        cached ? config_.cache_hit_cost * static_cast<SimTime>(n)
+               : FromMillis(config_.overload.shed_penalty_ms);
+    queue_.ScheduleAfter(serve, [this, start, cached, n,
+                                 done = std::move(done)] {
       RequestBreakdown out;
       out.total = queue_.Now() - start;
-      out.ok = false;
-      out.shed = true;
+      out.ok = cached;
+      out.shed = !cached;
+      if (cached) {
+        out.cached_blocks = n;
+        ++requests_completed_;
+      }
       done(out);
     });
     return;
   }
 
-  auto req = std::make_shared<PendingRequest>();
-  req->blocks = std::move(blocks);
   req->done = std::move(done);
-  req->start = start;
-  if (overload && overload->gate_enabled()) {
-    // Exactly-once token release on whichever completion path fires
-    // (every path funnels through req->done exactly once).
-    req->done = [overload, inner = std::move(req->done)](
-                    const RequestBreakdown& b) {
-      overload->admission()->Release();
-      inner(b);
-    };
-  }
+  OverloadControl* const overload = control_plane_.overload();
   if (overload && overload->deadline_ms() > 0) {
     // End-to-end deadline: a timeout event completes the request at the
     // budget's edge; the phase entry guards on `finished` stop all
@@ -180,117 +150,79 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
     });
   }
 
-  // Statistics service samples the request stream (Section V-A).
-  control_plane_.RecordRequest(req->blocks);
-
-  // Client-side cache check (DESIGN.md §12): version-valid hits skip the
-  // rest of the control plane; only the misses continue down R1-R3.
-  if (control_plane_.block_cache()) {
-    ControlPlane::CacheSplit split = control_plane_.SplitCached(req->blocks);
-    req->cached_blocks = static_cast<std::uint32_t>(split.hits);
-    for (BlockId block : split.prefetch) {
-      // Each claimed fill is one deferred event after the modeled
-      // fetch+decode delay; it re-reads the catalog at fill time so a
-      // concurrent rewrite or delete simply drops the fill.
-      queue_.ScheduleAfter(config_.prefetch_fill_latency, [this, block] {
-        BlockInfo info;
-        const bool live = state_.ReadBlock(block, &info);
-        control_plane_.FinishPrefetch(block, live ? &info : nullptr, nullptr);
-      });
-    }
-    if (split.misses.empty()) {
-      // Fully cached: no metadata trip, no fan-out, no decode — just the
-      // modeled per-block hit cost.
-      const SimTime serve =
-          config_.cache_hit_cost * static_cast<SimTime>(req->cached_blocks);
-      queue_.ScheduleAfter(serve, [this, req] {
-        if (req->finished) return;  // The deadline fired first.
-        req->finished = true;  // Disarms the deadline timer.
-        RequestBreakdown out;
-        out.total = queue_.Now() - req->start;
-        out.ok = true;
-        out.cached_blocks = req->cached_blocks;
-        ++requests_completed_;
-        req->done(out);
-      });
-      return;
-    }
-    req->blocks = std::move(split.misses);
+  // Statistics sampling, then the client-side cache check (DESIGN.md
+  // §12): version-valid hits skip the rest of the control plane; only the
+  // misses continue down R1-R3. Each claimed prefetch fill is one deferred
+  // event after the modeled fetch+decode delay; it re-reads the catalog
+  // at fill time so a concurrent rewrite or delete simply drops the fill.
+  for (BlockId block : req->read.RecordAndSplit()) {
+    queue_.ScheduleAfter(config_.prefetch_fill_latency, [this, block] {
+      BlockInfo info;
+      const bool live = state_.ReadBlock(block, &info);
+      control_plane_.FinishPrefetch(block, live ? &info : nullptr, nullptr);
+    });
+  }
+  if (req->read.AllCached()) {
+    // Fully cached: no metadata trip, no fan-out, no decode — just the
+    // modeled per-block hit cost.
+    const SimTime serve = config_.cache_hit_cost *
+                          static_cast<SimTime>(req->read.cached_blocks());
+    queue_.ScheduleAfter(serve, [this, req] {
+      if (req->finished) return;  // The deadline fired first.
+      req->finished = true;       // Disarms the deadline timer.
+      RequestBreakdown out;
+      out.total = queue_.Now() - req->start;
+      out.cached_blocks = req->read.cached_blocks();
+      Respond(*req, out);
+    });
+    return;
   }
 
   // R1: metadata access — a control-plane round trip plus lookup work.
   req->metadata = net_.RoundTrip() + config_.metadata_base_latency +
                   config_.metadata_per_block *
-                      static_cast<SimTime>(req->blocks.size());
+                      static_cast<SimTime>(blocks.size() -
+                                           req->read.cached_blocks());
   queue_.ScheduleAfter(req->metadata, [this, req] { PlanPhase(req); });
 }
 
 void SimECStore::PlanPhase(std::shared_ptr<PendingRequest> req) {
   if (req->finished) return;  // Deadline fired while this was in flight.
-  // Per-request late-binding fan-out: the static δ, or the adaptive
-  // policy's straggler-probability-derived value over the sites this
-  // request's plan can actually touch (DESIGN.md §13).
-  const std::uint32_t delta = control_plane_.AdaptiveDelta(req->blocks);
-  DemandResult dr = BuildDemands(state_, req->blocks, delta);
-  if (std::find(dr.readable.begin(), dr.readable.end(), false) != dr.readable.end()) {
+  // R2 in the shared read core; this transport charges the decision's
+  // modeled cost before the reads go out.
+  if (!req->read.Plan()) {
     Complete(req, /*ok=*/false);
     return;
   }
-  req->demands = std::move(dr.demands);
-  if (control_plane_.block_cache()) {
-    req->versions.clear();
-    req->versions.reserve(req->demands.size());
-    for (const BlockDemand& d : req->demands) {
-      req->versions.push_back(state_.BlockVersion(d.block));
-    }
-  }
-
-  // R2: the chunk read optimizer decides the access strategy. The shared
-  // control plane never solves an ILP inline — a miss is served by the
-  // greedy fallback while the refinement runs on this embodiment's
-  // event-queue executor.
-  PlanDecision decision =
-      control_plane_.SelectAccessPlan(req->blocks, req->demands, delta);
-  req->cache_hit = decision.cache_hit();
-  SimTime planning_cost = 0;
-  switch (decision.source) {
+  switch (req->read.plan_source()) {
     case PlanSource::kCacheHit:
-      planning_cost = config_.plan_lookup_cost;
+      req->planning = config_.plan_lookup_cost;
       break;
     case PlanSource::kGreedy:
-      planning_cost = config_.greedy_plan_cost;
+      req->planning = config_.greedy_plan_cost;
       break;
     case PlanSource::kRandom:
-      planning_cost = config_.random_plan_cost;
+      req->planning = config_.random_plan_cost;
       break;
   }
-  req->planning = planning_cost;
-  queue_.ScheduleAfter(planning_cost, [this, req, plan = std::move(decision.plan)] {
-    IssueReads(req, plan);
-  });
+  queue_.ScheduleAfter(req->planning, [this, req] { IssueReads(req); });
 }
 
-void SimECStore::IssueReads(std::shared_ptr<PendingRequest> req,
-                            const AccessPlan& plan) {
+void SimECStore::IssueReads(const std::shared_ptr<PendingRequest>& req) {
   if (req->finished) return;  // Deadline fired while this was in flight.
   if (req->retrieval_start == 0) req->retrieval_start = queue_.Now();
-  const std::uint32_t generation = ++req->generation;
-  const std::size_t n = req->demands.size();
-  req->remaining.assign(n, 0);
-  req->received.assign(n, {});
-  req->blocks_remaining = n;
-
-  // Completion requires k chunks per block — with late binding the plan
-  // contains k + delta reads but only the first k responses matter.
-  for (std::size_t i = 0; i < n; ++i) {
-    const BlockInfo& info = state_.GetBlock(req->demands[i].block);
-    req->remaining[i] = info.k;
-  }
-  if (n == 0) {
+  ++req->generation;
+  if (req->read.complete()) {  // Nothing to fetch.
     FinishRetrieval(req);
     return;
   }
+  req->outstanding = req->read.planned().size();
+  req->sites_accessed = Dispatch(req, req->read.planned());
+}
 
+std::uint32_t SimECStore::Dispatch(const std::shared_ptr<PendingRequest>& req,
+                                   std::span<const ChunkFetch> fetches) {
+  const std::uint32_t generation = req->generation;
   // One storage-service request per accessed site: all chunks the plan
   // takes from a site travel in a single RPC, so the per-request
   // overhead o_j is paid once per site — the structure Eq. 1 models and
@@ -301,20 +233,16 @@ void SimECStore::IssueReads(std::shared_ptr<PendingRequest> req,
     std::uint64_t bytes = 0;
   };
   std::map<SiteId, SiteBatch> batches;
-  for (const ChunkRead& read : plan.reads) {
-    const auto it = std::find_if(
-        req->demands.begin(), req->demands.end(),
-        [&](const BlockDemand& d) { return d.block == read.block; });
-    assert(it != req->demands.end());
-    const std::size_t block_index =
-        static_cast<std::size_t>(it - req->demands.begin());
-    SiteBatch& batch = batches[read.site];
-    batch.items.emplace_back(block_index, read.chunk);
-    batch.sizes.push_back(it->chunk_bytes);
-    batch.bytes += it->chunk_bytes;
+  for (const ChunkFetch& f : fetches) {
+    const std::uint64_t chunk_bytes =
+        req->read.blocks()[f.block_index].info.chunk_bytes;
+    SiteBatch& batch = batches[f.site];
+    batch.items.emplace_back(f.block_index, f.chunk);
+    batch.sizes.push_back(chunk_bytes);
+    batch.bytes += chunk_bytes;
   }
 
-  req->sites_accessed = static_cast<std::uint32_t>(batches.size());
+  const auto sites = static_cast<std::uint32_t>(batches.size());
   for (auto& [site, batch] : batches) {
     const SimTime arrival = net_.RequestDelay();
     queue_.ScheduleAfter(arrival, [this, req, generation, site = site,
@@ -358,14 +286,12 @@ void SimECStore::IssueReads(std::shared_ptr<PendingRequest> req,
         control_plane_.RecordServiceTime(site, ToMillis(done_at - submitted));
         const SimTime back = net_.ResponseDelay(batch.bytes);
         queue_.ScheduleAfter(back, [this, req, generation, batch] {
-          if (req->generation != generation) return;  // Superseded plan.
-          for (const auto& [block_index, chunk] : batch.items) {
-            OnChunkArrived(req, block_index, chunk);
-          }
+          OnBatchArrived(req, generation, batch.items);
         });
       });
     });
   }
+  return sites;
 }
 
 void SimECStore::RetryAfterFailure(const std::shared_ptr<PendingRequest>& req,
@@ -386,15 +312,31 @@ void SimECStore::RetryAfterFailure(const std::shared_ptr<PendingRequest>& req,
   });
 }
 
-void SimECStore::OnChunkArrived(const std::shared_ptr<PendingRequest>& req,
-                                std::size_t block_index, ChunkIndex chunk) {
-  if (req->finished) return;  // Late-binding straggler: ignored.
-  auto& remaining = req->remaining[block_index];
-  if (remaining == 0) return;  // Block already satisfied.
-  req->received[block_index].push_back(chunk);
-  if (--remaining == 0) {
-    if (--req->blocks_remaining == 0) FinishRetrieval(req);
+void SimECStore::OnBatchArrived(
+    const std::shared_ptr<PendingRequest>& req, std::uint32_t generation,
+    std::span<const std::pair<std::size_t, ChunkIndex>> items) {
+  // Late-binding stragglers and superseded plans are ignored.
+  if (req->finished || req->generation != generation) return;
+  for (const auto& [block_index, chunk] : items) {
+    req->read.block(block_index).Deliver(chunk);
   }
+  if (req->read.complete()) {
+    FinishRetrieval(req);
+    return;
+  }
+  req->outstanding -= items.size();
+  if (req->outstanding > 0) return;
+  // Every issued read arrived and a block still does not decode (an LRC
+  // plan over a non-decodable chunk set): hedge with its untried chunks,
+  // or fail when none are left.
+  const std::vector<ChunkFetch> hedge = req->read.RetryCandidates(1);
+  if (hedge.empty()) {
+    Complete(req, /*ok=*/false);
+    return;
+  }
+  retried_fetches_ += hedge.size();
+  req->outstanding = hedge.size();
+  Dispatch(req, hedge);
 }
 
 void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
@@ -402,36 +344,21 @@ void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
   req->finished = true;
   req->retrieval = queue_.Now() - req->retrieval_start;
 
-  // R3: decode. A replicated block (the R baseline's, or a promoted one)
-  // needs none, whichever copy answered. Blocks whose first-k chunks are
-  // all systematic are pure reassembly; otherwise the GF-arithmetic
-  // decode rate applies. The client decodes blocks sequentially.
+  // R3: decode at the rate the read core's decode kind selects; the
+  // client decodes blocks sequentially.
   SimTime decode_total = 0;
-  for (std::size_t i = 0; i < req->demands.size(); ++i) {
-    const BlockInfo& info = state_.GetBlock(req->demands[i].block);
-    if (info.codec.family == CodecFamilyId::kReplication) continue;
-    const auto& chunks = req->received[i];
-    const bool systematic =
-        std::all_of(chunks.begin(), chunks.end(),
-                    [&](ChunkIndex c) { return c < info.k; });
-    const double rate = systematic ? config_.reassemble_bytes_per_ms
-                                   : config_.decode_bytes_per_ms;
+  for (const BlockRead& b : req->read.blocks()) {
+    const DecodeKind kind = b.Decode();
+    if (kind == DecodeKind::kNone) continue;
+    const double rate = kind == DecodeKind::kReassemble
+                            ? config_.reassemble_bytes_per_ms
+                            : config_.decode_bytes_per_ms;
     decode_total += static_cast<SimTime>(
-        static_cast<double>(info.block_bytes) / rate * kMillisecond);
+        static_cast<double>(b.info.block_bytes) / rate * kMillisecond);
   }
   queue_.ScheduleAfter(decode_total, [this, req, decode_total] {
-    // Fill the cache with the just-decoded blocks, unless a concurrent
-    // rewrite (Put/move/repair) bumped the version since plan time.
-    if (control_plane_.block_cache()) {
-      for (std::size_t i = 0; i < req->demands.size(); ++i) {
-        const BlockId b = req->demands[i].block;
-        BlockInfo info;
-        if (!state_.ReadBlock(b, &info)) continue;
-        if (i < req->versions.size() && info.version != req->versions[i]) {
-          continue;
-        }
-        control_plane_.FillCache(b, nullptr, info.block_bytes, info.version);
-      }
+    for (std::size_t i = 0; i < req->read.blocks().size(); ++i) {
+      req->read.FillCache(i, nullptr);
     }
     RequestBreakdown out;
     out.metadata = req->metadata;
@@ -439,12 +366,10 @@ void SimECStore::FinishRetrieval(const std::shared_ptr<PendingRequest>& req) {
     out.retrieval = req->retrieval;
     out.decode = decode_total;
     out.total = queue_.Now() - req->start;
-    out.ok = true;
-    out.plan_cache_hit = req->cache_hit;
+    out.plan_cache_hit = req->read.plan_source() == PlanSource::kCacheHit;
     out.sites_accessed = req->sites_accessed;
-    out.cached_blocks = req->cached_blocks;
-    ++requests_completed_;
-    req->done(out);
+    out.cached_blocks = req->read.cached_blocks();
+    Respond(*req, out);
   });
 }
 
@@ -456,10 +381,15 @@ void SimECStore::Complete(const std::shared_ptr<PendingRequest>& req, bool ok) {
   out.metadata = req->metadata;
   out.total = queue_.Now() - req->start;
   out.ok = ok;
-  out.cached_blocks = req->cached_blocks;
+  out.cached_blocks = req->read.cached_blocks();
   out.deadline_hit = req->deadline_hit;
+  Respond(*req, out);
+}
+
+void SimECStore::Respond(PendingRequest& req, const RequestBreakdown& out) {
+  req.read.Release();  // Exactly once: every path funnels through here.
   ++requests_completed_;
-  req->done(out);
+  req.done(out);
 }
 
 std::vector<SiteId> SimECStore::ChooseWriteSites() {
@@ -470,17 +400,18 @@ void SimECStore::Put(BlockId id, std::uint64_t block_bytes, PutCallback done) {
   const SimTime start = queue_.Now();
   // Admission gate (DESIGN.md §14): writes compete for the same tokens
   // as reads — under overload a shed Put fast-fails like a shed Get.
-  OverloadControl* const overload = control_plane_.overload();
-  if (overload && overload->gate_enabled()) {
-    if (!overload->admission()->TryAdmit(ToMillis(start))) {
-      queue_.ScheduleAfter(FromMillis(config_.overload.shed_penalty_ms),
-                           [this, start, done = std::move(done)] {
-        done(PutResult{queue_.Now() - start, false});
-      });
-      return;
-    }
-    done = [overload, inner = std::move(done)](const PutResult& r) {
-      overload->admission()->Release();
+  AdmissionTicket ticket = control_plane_.Admit(ToMillis(start));
+  if (ticket.shed()) {
+    queue_.ScheduleAfter(FromMillis(config_.overload.shed_penalty_ms),
+                         [this, start, done = std::move(done)] {
+      done(PutResult{queue_.Now() - start, false});
+    });
+    return;
+  }
+  if (ticket.held()) {
+    done = [t = std::make_shared<AdmissionTicket>(std::move(ticket)),
+            inner = std::move(done)](const PutResult& r) {
+      t->Release();
       inner(r);
     };
   }
@@ -734,11 +665,13 @@ bool SimECStore::RewriteBlock(BlockId id, const BlockInfo& info,
                               const CodecSpec& spec,
                               std::span<const SiteId> sites) {
   // Metadata rewrite: the DES carries no chunk bytes, so the redundancy
-  // change is a catalog swap (Remove + AddBlock reseeds the coherence
-  // version) plus per-site chunk-count updates.
-  state_.RemoveBlock(id);
-  state_.AddBlock(id, info.block_bytes, SpecChunkBytes(spec, info.block_bytes),
-                  spec, sites);
+  // change is one catalog swap (the id never leaves the catalog; the
+  // coherence version bumps) plus per-site chunk-count updates.
+  if (!state_.ReplaceBlock(id, info.block_bytes,
+                           SpecChunkBytes(spec, info.block_bytes), spec,
+                           sites)) {
+    return false;
+  }
   for (const ChunkLocation& loc : info.locations) {
     sites_[loc.site]->set_chunk_count(state_.site_chunk_counts()[loc.site]);
   }

@@ -5,9 +5,10 @@
 // the shared ControlPlane component (statistics service, chunk read
 // optimizer with plan cache + background ILP worker, chunk mover and
 // repair policy) plus the metadata service (ClusterState + modeled
-// lookup latency). This embodiment contributes only the timing model:
-// message latencies, site queueing, and the event-queue executor that
-// runs deferred ILP solves after the modeled solve latency. All six of
+// lookup latency); each read's decisions come from the shared ReadRequest
+// core. This embodiment contributes only the timing model: message
+// latencies, site queueing, and the event-queue executor that runs
+// deferred ILP solves after the modeled solve latency. All six of
 // the paper's techniques (R, EC, EC+LB, EC+C, EC+C+M, EC+C+M+LB) are
 // configurations of this one system, exactly as in Section VI-A.
 #pragma once
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/control_plane.h"
+#include "core/read_request.h"
 #include "fault/injector.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -164,7 +166,8 @@ class SimECStore {
   OverloadControl* overload() const { return control_plane_.overload(); }
 
   /// Control-plane usage plus this embodiment's robustness counter
-  /// (failure-triggered replans surface as retried_fetches).
+  /// (failure-triggered replans and hedge fetches surface as
+  /// retried_fetches).
   ControlPlaneUsage Usage() const {
     ControlPlaneUsage u = control_plane_.Usage();
     u.retried_fetches = retried_fetches_;
@@ -176,10 +179,6 @@ class SimECStore {
     return control_plane_.CurrentCostParams();
   }
 
-  /// Cost parameters for a planning decision: CurrentCostParams() plus a
-  /// small random tie-break perturbation (see ECStoreConfig).
-  CostParams PlanningCostParams() { return control_plane_.PlanningCostParams(); }
-
   /// Estimated request arrival rate (requests/second), as the statistics
   /// service sees it.
   double RequestRate() const { return request_rate_per_sec_; }
@@ -187,14 +186,22 @@ class SimECStore {
  private:
   struct PendingRequest;
 
+  // The read transport around the shared ReadRequest core: DES timing,
+  // per-site batched RPCs, generation poisoning and the deadline timer.
   void PlanPhase(std::shared_ptr<PendingRequest> req);
-  void IssueReads(std::shared_ptr<PendingRequest> req, const AccessPlan& plan);
-  void OnChunkArrived(const std::shared_ptr<PendingRequest>& req,
-                      std::size_t block_index, ChunkIndex chunk);
+  void IssueReads(const std::shared_ptr<PendingRequest>& req);
+  /// Sends `fetches` as one batched RPC per site; returns the site count.
+  std::uint32_t Dispatch(const std::shared_ptr<PendingRequest>& req,
+                         std::span<const ChunkFetch> fetches);
+  void OnBatchArrived(const std::shared_ptr<PendingRequest>& req,
+                      std::uint32_t generation,
+                      std::span<const std::pair<std::size_t, ChunkIndex>> items);
   void RetryAfterFailure(const std::shared_ptr<PendingRequest>& req,
                          std::uint32_t generation);
   void FinishRetrieval(const std::shared_ptr<PendingRequest>& req);
   void Complete(const std::shared_ptr<PendingRequest>& req, bool ok);
+  /// Releases the admission token and answers the client.
+  void Respond(PendingRequest& req, const RequestBreakdown& out);
 
   void StatsTick();
   void ProbeTick();
@@ -219,7 +226,7 @@ class SimECStore {
   std::uint64_t requests_completed_ = 0;
   std::uint64_t completed_at_last_stats_tick_ = 0;
   double request_rate_per_sec_ = 0;
-  std::uint64_t retried_fetches_ = 0;  // failure-triggered replans
+  std::uint64_t retried_fetches_ = 0;  // replans + hedge fetches
 };
 
 }  // namespace ecstore

@@ -190,7 +190,7 @@ OverloadControl::OverloadControl(std::size_t num_sites,
   }
 }
 
-OverloadCounters OverloadControl::Counters(std::uint64_t extra_expired) const {
+OverloadCounters OverloadControl::Counters() const {
   OverloadCounters c;
   if (admission_) c.requests_shed = admission_->requests_shed();
   c.deadline_exceeded = deadline_exceeded.load(std::memory_order_relaxed);
@@ -200,7 +200,7 @@ OverloadCounters OverloadControl::Counters(std::uint64_t extra_expired) const {
   }
   c.brownout_level = static_cast<std::uint64_t>(brownout_level());
   c.expired_jobs_cancelled =
-      expired_jobs_cancelled.load(std::memory_order_relaxed) + extra_expired;
+      expired_jobs_cancelled.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -289,10 +289,8 @@ class OverloadControl {
     if (brownout_ && admission_) brownout_->Update(admission_->Pressure(), now_ms);
   }
 
-  /// Counter snapshot, including per-controller counters. `extra_expired`
-  /// lets an embodiment fold in a queue-owned counter (the local data
-  /// plane counts expirations itself).
-  OverloadCounters Counters(std::uint64_t extra_expired = 0) const;
+  /// Counter snapshot, including per-controller counters.
+  OverloadCounters Counters() const;
 
   // Counters owned here (the controllers own their own). Monotonic.
   std::atomic<std::uint64_t> deadline_exceeded{0};

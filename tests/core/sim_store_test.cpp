@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "core/repair.h"
+#include "erasure/codec_family.h"
 
 namespace ecstore {
 namespace {
@@ -252,6 +253,75 @@ TEST(SimStoreTest, ReplicaBlockReadsChargeNoDecodeInEcCluster) {
     ASSERT_TRUE(r.ok);
     EXPECT_EQ(r.decode, 0) << "read " << i;
   }
+}
+
+// Regression: an LRC block completes only on a chunk set that decodes,
+// as in the real store. With block 0's chunks 0, 1 and 8 lost, lrc(6,2,2)
+// keeps 7 survivors, and 3 of the 7 random 6-chunk plans over them do not
+// decode: such a read must fetch a seventh chunk, not report ok on k.
+TEST(SimStoreTest, LrcBlockCompletesOnlyOnDecodableChunks) {
+  ECStoreConfig config = ECStoreConfig::ForTechnique(Technique::kEc);
+  config.num_sites = 16;
+  config.seed = 3;
+  config.codec_family = CodecFamilyId::kAzureLrc;
+  config.k = 6;
+  config.r = 2;
+  config.codec_locals = 2;
+  SimECStore store(config);
+  store.LoadBlocks(0, 40, 600 * 1024);
+  const BlockInfo info = store.state().GetBlock(0);
+  for (const ChunkLocation& loc : info.locations) {
+    if (loc.chunk == 0 || loc.chunk == 1 || loc.chunk == 8) {
+      store.FailSite(loc.site);
+    }
+  }
+  const auto family = GetCodecFamily(info.codec);
+  std::vector<ChunkIndex> planned;
+  store.control_plane().set_plan_observer(
+      [&](std::span<const BlockId>, const PlanDecision& d) {
+        planned.clear();
+        for (const ChunkRead& read : d.plan.reads) {
+          planned.push_back(read.chunk);
+        }
+      });
+  int undecodable_plans = 0;
+  for (int i = 0; i < 60; ++i) {
+    const std::vector<std::uint64_t> before = store.SiteBytesRead();
+    const RequestBreakdown r = RunSingleGet(store, {0});
+    EXPECT_TRUE(r.ok) << "read " << i;
+    const std::vector<std::uint64_t> after = store.SiteBytesRead();
+    std::uint64_t bytes = 0;
+    for (std::size_t j = 0; j < after.size(); ++j) {
+      bytes += after[j] - before[j];
+    }
+    if (!family->CanDecode(planned)) {
+      ++undecodable_plans;
+      EXPECT_GE(bytes / info.chunk_bytes, 7u) << "read " << i;
+    }
+  }
+  EXPECT_GT(undecodable_plans, 0);
+}
+
+// A site of the chosen plan fails after planning and before its batch is
+// dispatched: the client re-plans once against the surviving sites.
+TEST(SimStoreTest, SiteFailingBeforeDispatchReplansOnce) {
+  SimECStore store(TinyConfig(Technique::kEc));
+  store.LoadBlocks(0, 10, 100 * 1024);
+  SiteId victim = kInvalidSite;
+  store.control_plane().set_plan_observer(
+      [&](std::span<const BlockId>, const PlanDecision& d) {
+        if (victim != kInvalidSite) return;  // The re-plan.
+        victim = d.plan.reads.front().site;
+        // The plan's reads go out after the modeled planning cost.
+        store.queue().ScheduleAfter(1, [&store, site = victim] {
+          store.FailSite(site);
+        });
+      });
+  const RequestBreakdown r = RunSingleGet(store, {3});
+  ASSERT_NE(victim, kInvalidSite);
+  EXPECT_TRUE(r.ok);
+  EXPECT_EQ(store.Usage().retried_fetches, 1u);
+  EXPECT_EQ(store.SiteBytesRead()[victim], 0u);
 }
 
 TEST(RepairServiceTest, ReconstructsAfterGracePeriod) {

@@ -214,11 +214,11 @@ TEST(OverloadControlTest, CountersAggregateAcrossControllers) {
   ctl.deadline_exceeded.fetch_add(3);
   ctl.expired_jobs_cancelled.fetch_add(2);
 
-  const OverloadCounters c = ctl.Counters(/*extra_expired=*/5);
+  const OverloadCounters c = ctl.Counters();
   EXPECT_EQ(c.requests_shed, 1u);
   EXPECT_EQ(c.deadline_exceeded, 3u);
   EXPECT_EQ(c.breaker_opens, 1u);
-  EXPECT_EQ(c.expired_jobs_cancelled, 7u);  // own counter + queue's
+  EXPECT_EQ(c.expired_jobs_cancelled, 2u);
   EXPECT_EQ(c.brownout_level, 0u);
 }
 
@@ -545,6 +545,29 @@ TEST(LocalOverloadTest, ConcurrentMultiGetsShedPastTheGate) {
   EXPECT_GE(shed.load(), 1);
   EXPECT_GE(ok.load(), kGetsPerThread);  // progress was never blocked
   EXPECT_EQ(store.Usage().requests_shed, static_cast<std::uint64_t>(shed.load()));
+}
+
+TEST(LocalOverloadTest, ExpiredQueueJobsCountInUsage) {
+  // One worker per site, each fetch held 40 ms against a 5 ms deadline:
+  // the first fetch at a site runs past the deadline, so the fetches
+  // queued behind it expire at pickup.
+  ECStoreConfig config = ECStoreConfig::ForTechnique(Technique::kEc);
+  config.num_sites = 4;
+  config.overload.deadline_ms = 5;
+  config.data_plane.workers_per_site = 1;
+  config.data_plane.base_latency_ms = 40;
+  LocalECStore store(config);
+  std::vector<std::uint8_t> data(16 * 1024, 0x3C);
+  std::vector<BlockId> ids;
+  for (BlockId b = 0; b < 8; ++b) {
+    store.Put(b, data);
+    ids.push_back(b);
+  }
+  EXPECT_THROW(store.MultiGet(ids), DeadlineExceededError);
+  const std::uint64_t expired = store.data_plane().jobs_expired();
+  EXPECT_GT(expired, 0u);
+  EXPECT_GE(store.Usage().expired_jobs_cancelled, expired);
+  EXPECT_EQ(store.Usage().deadline_exceeded, 1u);
 }
 
 TEST(LocalOverloadTest, GenerousDeadlinePassesAndCountersStayZero) {
