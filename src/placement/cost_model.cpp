@@ -1,8 +1,9 @@
 #include "placement/cost_model.h"
 
 #include <algorithm>
-#include <set>
+#include <array>
 #include <stdexcept>
+#include <vector>
 
 namespace ecstore {
 
@@ -73,9 +74,18 @@ DemandResult BuildDemands(const ClusterState& state,
 
 double PlanCost(std::span<const ChunkRead> reads,
                 std::span<const BlockDemand> demands, const CostParams& params) {
+  // Accessed sites, deduplicated below. The stack buffer covers the
+  // plans the chunk mover prices by the million; larger plans spill.
+  std::array<SiteId, 64> inline_sites;
+  std::vector<SiteId> spilled;
+  std::span<SiteId> accessed = inline_sites;
+  if (reads.size() > inline_sites.size()) {
+    spilled.resize(reads.size());
+    accessed = spilled;
+  }
   // Chunk-retrieval term: m_j * z_i per selected chunk.
   double cost = 0;
-  std::set<SiteId> accessed;
+  std::size_t num_accessed = 0;
   for (const ChunkRead& read : reads) {
     const auto demand = std::find_if(
         demands.begin(), demands.end(),
@@ -85,10 +95,16 @@ double PlanCost(std::span<const ChunkRead> reads,
     }
     cost += params.media_ms_per_byte[read.site] *
             static_cast<double>(demand->chunk_bytes);
-    accessed.insert(read.site);
+    accessed[num_accessed++] = read.site;
   }
-  // Site-activation term: o_j once per accessed site.
-  for (SiteId site : accessed) cost += params.site_overhead_ms[site];
+  // Site-activation term: o_j once per accessed site, in ascending site
+  // order so the sum is reproducible bit for bit.
+  const auto used = accessed.first(num_accessed);
+  std::sort(used.begin(), used.end());
+  const auto last = std::unique(used.begin(), used.end());
+  for (auto site = used.begin(); site != last; ++site) {
+    cost += params.site_overhead_ms[*site];
+  }
   return cost;
 }
 

@@ -136,16 +136,19 @@ void PlanCache::EvictIfNeeded() {
 void PlanCache::Erase(const Key& key) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  lru_.erase(it->second.lru_it);
-  for (BlockId b : key.blocks) {
+  // `key` may be the LRU node itself (eviction), so read the entry's own
+  // key and drop the LRU node last.
+  const Key& owned = it->first;
+  for (BlockId b : owned.blocks) {
     const auto [begin, end] = block_index_.equal_range(b);
     for (auto bit = begin; bit != end; ++bit) {
-      if (bit->second == key) {
+      if (bit->second == owned) {
         block_index_.erase(bit);
         break;
       }
     }
   }
+  lru_.erase(it->second.lru_it);
   entries_.erase(it);
 }
 

@@ -15,66 +15,89 @@ void CoAccessTracker::RecordRequest(std::span<const BlockId> blocks) {
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
   if (unique.empty()) return;
 
-  Apply(unique, +1);
+  Add(unique);
   requests_.push_back(std::move(unique));
   if (requests_.size() > window_) {
-    Apply(requests_.front(), -1);
+    Remove(requests_.front());
     requests_.pop_front();
   }
 }
 
-void CoAccessTracker::Apply(const std::vector<BlockId>& blocks, std::int64_t sign) {
+// `blocks` is sorted and distinct, and each partner list is sorted by id,
+// so one linear pass per block increments the listed partners and appends
+// the new ones, and a merge restores the order.
+void CoAccessTracker::Add(const std::vector<BlockId>& blocks) {
   for (BlockId b : blocks) {
-    if (sign > 0) {
-      counts_[b] += 1;
-    } else {
-      auto it = counts_.find(b);
-      assert(it != counts_.end() && it->second > 0);
-      if (--it->second == 0) counts_.erase(it);
-    }
-  }
-  for (std::size_t x = 0; x < blocks.size(); ++x) {
-    for (std::size_t y = 0; y < blocks.size(); ++y) {
-      if (x == y) continue;
-      if (sign > 0) {
-        co_counts_[blocks[x]][blocks[y]] += 1;
+    Entry& entry = entries_[b];
+    ++entry.count;
+    auto& partners = entry.partners;
+    const std::size_t listed = partners.size();
+    std::size_t i = 0;
+    for (BlockId other : blocks) {
+      if (other == b) continue;
+      while (i < listed && partners[i].first < other) ++i;
+      if (i < listed && partners[i].first == other) {
+        ++partners[i].second;
       } else {
-        auto outer = co_counts_.find(blocks[x]);
-        assert(outer != co_counts_.end());
-        auto inner = outer->second.find(blocks[y]);
-        assert(inner != outer->second.end() && inner->second > 0);
-        if (--inner->second == 0) outer->second.erase(inner);
-        if (outer->second.empty()) co_counts_.erase(outer);
+        partners.push_back({other, 1});
       }
     }
+    std::inplace_merge(partners.begin(), partners.begin() + listed, partners.end());
   }
+}
+
+void CoAccessTracker::Remove(const std::vector<BlockId>& blocks) {
+  for (BlockId b : blocks) {
+    const auto it = entries_.find(b);
+    assert(it != entries_.end() && it->second.count > 0);
+    Entry& entry = it->second;
+    if (--entry.count == 0) {
+      // Every remaining co-count came from this request alone.
+      assert(entry.partners.size() + 1 == blocks.size());
+      entries_.erase(it);
+      continue;
+    }
+    auto p = entry.partners.begin();
+    for (BlockId other : blocks) {
+      if (other == b) continue;
+      while (p != entry.partners.end() && p->first < other) ++p;
+      assert(p != entry.partners.end() && p->first == other && p->second > 0);
+      --p->second;
+      ++p;
+    }
+    std::erase_if(entry.partners, [](const auto& pc) { return pc.second == 0; });
+  }
+}
+
+const CoAccessTracker::Entry* CoAccessTracker::Find(BlockId b) const {
+  const auto it = entries_.find(b);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t CoAccessTracker::Count(BlockId b) const {
-  const auto it = counts_.find(b);
-  return it == counts_.end() ? 0 : it->second;
+  const Entry* entry = Find(b);
+  return entry == nullptr ? 0 : entry->count;
 }
 
 double CoAccessTracker::Lambda(BlockId b, BlockId i) const {
-  const std::uint64_t cb = Count(b);
-  if (cb == 0) return 0;
-  const auto outer = co_counts_.find(b);
-  if (outer == co_counts_.end()) return 0;
-  const auto inner = outer->second.find(i);
-  if (inner == outer->second.end()) return 0;
-  return static_cast<double>(inner->second) / static_cast<double>(cb);
+  const Entry* entry = Find(b);
+  if (entry == nullptr) return 0;
+  const auto p = std::lower_bound(
+      entry->partners.begin(), entry->partners.end(), i,
+      [](const auto& pc, BlockId id) { return pc.first < id; });
+  if (p == entry->partners.end() || p->first != i) return 0;
+  return static_cast<double>(p->second) / static_cast<double>(entry->count);
 }
 
 std::vector<CoAccessPartner> CoAccessTracker::Partners(
     BlockId b, std::size_t max_partners) const {
   std::vector<CoAccessPartner> out;
-  const std::uint64_t cb = Count(b);
-  if (cb == 0) return out;
-  const auto outer = co_counts_.find(b);
-  if (outer == co_counts_.end()) return out;
-  out.reserve(outer->second.size());
-  for (const auto& [partner, count] : outer->second) {
-    out.push_back({partner, static_cast<double>(count) / static_cast<double>(cb)});
+  const Entry* entry = Find(b);
+  if (entry == nullptr) return out;
+  const auto cb = static_cast<double>(entry->count);
+  out.reserve(entry->partners.size());
+  for (const auto& [partner, count] : entry->partners) {
+    out.push_back({partner, static_cast<double>(count) / cb});
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const CoAccessPartner& a, const CoAccessPartner& c) {
@@ -88,11 +111,11 @@ std::vector<BlockId> CoAccessTracker::SampleCandidateBlocks(
     Rng& rng, std::size_t count) const {
   std::vector<BlockId> ids;
   std::vector<double> weights;
-  ids.reserve(counts_.size());
-  weights.reserve(counts_.size());
-  for (const auto& [block, c] : counts_) {
+  ids.reserve(entries_.size());
+  weights.reserve(entries_.size());
+  for (const auto& [block, entry] : entries_) {
     ids.push_back(block);
-    weights.push_back(static_cast<double>(c));
+    weights.push_back(static_cast<double>(entry.count));
   }
   const auto picked = WeightedSampleWithoutReplacement(rng, weights, count);
   std::vector<BlockId> out;
@@ -105,11 +128,11 @@ std::vector<CoAccessPartner> CoAccessTracker::TopBlocks(std::size_t n) const {
   std::vector<CoAccessPartner> out;
   if (requests_.empty() || n == 0) return out;
   const double window = static_cast<double>(requests_.size());
-  out.reserve(counts_.size());
-  for (const auto& [block, count] : counts_) {
-    out.push_back({block, static_cast<double>(count) / window});
+  out.reserve(entries_.size());
+  for (const auto& [block, entry] : entries_) {
+    out.push_back({block, static_cast<double>(entry.count) / window});
   }
-  // counts_ iterates ascending block id, so stable_sort leaves ties in
+  // entries_ iterates ascending block id, so stable_sort leaves ties in
   // ascending-id order — deterministic promotion sweeps.
   std::stable_sort(out.begin(), out.end(),
                    [](const CoAccessPartner& a, const CoAccessPartner& b) {
@@ -130,14 +153,13 @@ std::size_t CoAccessTracker::ApproxMemoryBytes() const {
   for (const auto& q : requests_) {
     bytes += sizeof(q) + q.capacity() * sizeof(BlockId);
   }
-  // Red-black tree nodes: payload + ~3 pointers + color word each.
+  // Red-black tree nodes: payload + ~3 pointers + color word each, plus
+  // each partner list's heap block.
   constexpr std::size_t kNodeOverhead = 4 * sizeof(void*);
-  bytes += counts_.size() * (sizeof(std::pair<BlockId, std::uint64_t>) + kNodeOverhead);
-  for (const auto& [block, partners] : co_counts_) {
+  for (const auto& [block, entry] : entries_) {
     (void)block;
-    bytes += sizeof(std::pair<BlockId, std::map<BlockId, std::uint64_t>>) + kNodeOverhead;
-    bytes += partners.size() *
-             (sizeof(std::pair<BlockId, std::uint64_t>) + kNodeOverhead);
+    bytes += sizeof(std::pair<const BlockId, Entry>) + kNodeOverhead;
+    bytes += entry.partners.capacity() * sizeof(entry.partners[0]);
   }
   return bytes;
 }

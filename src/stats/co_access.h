@@ -9,6 +9,7 @@
 #include <deque>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,8 +52,11 @@ class CoAccessView {
 /// contribution is subtracted, so the statistics adapt to workload change
 /// — the behaviour the paper's Fig. 4a timeline depends on.
 ///
-/// Deterministic: iteration uses ordered maps so candidate sampling is
-/// reproducible under a fixed seed.
+/// Layout: one ordered map entry per windowed block holding its count and
+/// a flat partner list {partner id, co-count} sorted by id, so a request
+/// of n blocks costs n map lookups plus n linear merges. Deterministic:
+/// blocks and partners iterate in ascending id, so candidate sampling and
+/// tie order are reproducible under a fixed seed.
 class CoAccessTracker : public CoAccessView {
  public:
   /// `window` = number of most recent sampled requests retained
@@ -91,18 +95,28 @@ class CoAccessTracker : public CoAccessView {
 
   std::size_t window() const { return window_; }
   std::size_t requests_in_window() const { return requests_.size(); }
-  std::size_t distinct_blocks_tracked() const { return counts_.size(); }
+  std::size_t distinct_blocks_tracked() const { return entries_.size(); }
 
   /// Rough heap footprint for the Table III resource-usage experiment.
   std::size_t ApproxMemoryBytes() const;
 
  private:
-  void Apply(const std::vector<BlockId>& blocks, std::int64_t sign);
+  /// A windowed block: the number of windowed requests containing it and
+  /// its co-access partners with their pair counts, sorted by partner id
+  /// and free of zero counts. Erased when `count` reaches 0: a co-count
+  /// never exceeds the block's own count, so every pair count is 0 then.
+  struct Entry {
+    std::uint64_t count = 0;
+    std::vector<std::pair<BlockId, std::uint64_t>> partners;
+  };
+
+  void Add(const std::vector<BlockId>& blocks);
+  void Remove(const std::vector<BlockId>& blocks);
+  const Entry* Find(BlockId b) const;
 
   std::size_t window_;
   std::deque<std::vector<BlockId>> requests_;
-  std::map<BlockId, std::uint64_t> counts_;
-  std::map<BlockId, std::map<BlockId, std::uint64_t>> co_counts_;
+  std::map<BlockId, Entry> entries_;
 };
 
 }  // namespace ecstore

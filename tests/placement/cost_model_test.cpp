@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace ecstore {
 namespace {
 
@@ -118,6 +123,55 @@ TEST(PlanCostTest, ReadForUnknownBlockThrows) {
   const std::vector<ChunkRead> reads = {{9, 0, 0}};
   const std::vector<BlockDemand> demands;
   EXPECT_THROW(PlanCost(reads, demands, params), std::invalid_argument);
+}
+
+/// Eq. 1 summed the obvious way: per-read media terms in read order, then
+/// o_j once per accessed site in ascending site order.
+double ReferencePlanCost(const std::vector<ChunkRead>& reads,
+                         const std::vector<BlockDemand>& demands,
+                         const CostParams& params) {
+  double cost = 0;
+  std::set<SiteId> accessed;
+  for (const ChunkRead& read : reads) {
+    for (const BlockDemand& d : demands) {
+      if (d.block != read.block) continue;
+      cost += params.media_ms_per_byte[read.site] * static_cast<double>(d.chunk_bytes);
+      break;
+    }
+    accessed.insert(read.site);
+  }
+  for (SiteId site : accessed) cost += params.site_overhead_ms[site];
+  return cost;
+}
+
+TEST(PlanCostTest, MatchesSetReferenceBitForBit) {
+  // Heterogeneous o_j / m_j with no common scale, so a different
+  // summation order would show up in the low bits. Plans range from
+  // empty to far more reads than sites (heavy site repetition) and up to
+  // 300 reads, past any inline buffer.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const std::size_t num_sites = 1 + rng.NextBounded(96);
+    CostParams params;
+    for (std::size_t s = 0; s < num_sites; ++s) {
+      params.site_overhead_ms.push_back(0.1 + 20 * rng.NextDouble());
+      params.media_ms_per_byte.push_back(1e-6 + 1e-3 * rng.NextDouble());
+    }
+    std::vector<BlockDemand> demands(1 + rng.NextBounded(12));
+    for (std::size_t b = 0; b < demands.size(); ++b) {
+      demands[b].block = 100 + b;
+      demands[b].chunk_bytes = 1 + rng.NextBounded(1 << 20);
+    }
+    std::vector<ChunkRead> reads(rng.NextBounded(301));
+    for (ChunkRead& r : reads) {
+      r.block = demands[rng.NextBounded(demands.size())].block;
+      r.site = static_cast<SiteId>(rng.NextBounded(num_sites));
+    }
+    EXPECT_EQ(PlanCost(reads, demands, params),
+              ReferencePlanCost(reads, demands, params))
+        << "seed " << seed << ", " << reads.size() << " reads over " << num_sites
+        << " sites";
+  }
 }
 
 }  // namespace

@@ -114,6 +114,21 @@ TEST(PlanCacheTest, LruEvictionKeepsHotEntries) {
   EXPECT_TRUE(cache.Lookup(std::vector<BlockId>{4}, 0).has_value());
 }
 
+TEST(PlanCacheTest, EvictionDropsBlockIndexEntries) {
+  // Capacity 1: every insert evicts the previous plan. The evicted
+  // plans' block-index entries must go with them, or they fill the
+  // bounded superset scan for block 1 and hide the live plan.
+  PlanCache cache(1);
+  for (BlockId i = 0; i < 40; ++i) {
+    cache.Insert(std::vector<BlockId>{1, 100 + i}, 0, PlanWithCost(1.0));
+  }
+  cache.Insert(std::vector<BlockId>{1, 2}, 0, PlanWithCost(2.0));
+  ASSERT_EQ(cache.size(), 1u);
+  const auto plan = cache.LookupSatisfying(std::vector<BlockId>{1}, 0);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_DOUBLE_EQ(plan->estimated_cost_ms, 2.0);
+}
+
 TEST(PlanCacheTest, HitRateTracksPaperMetric) {
   PlanCache cache;
   const std::vector<BlockId> q = {1};
