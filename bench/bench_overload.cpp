@@ -12,7 +12,7 @@
 //                   budget (a late answer is a useless answer);
 //   controlled    — admission gate + per-site breakers + brownout ladder
 //                   + end-to-end deadline. Excess requests shed in
-//                   ~shed_penalty_ms; admitted ones run on short queues.
+//                   ~kShedPenalty; admitted ones run on short queues.
 //
 // The interesting comparison is goodput (in-deadline completions/s) and
 // the p99 of *admitted* requests — overload control trades refused

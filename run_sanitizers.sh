@@ -17,9 +17,11 @@
 # shards=8 with a live ILP executor pool, and the overload-control suite
 # (overload_test): breakers, CoDel admission, brownout ladder, and the
 # shed/deadline integration in both embodiments. The ASan stage also runs
-# the embodiment parity test (parity_test) and the statistics and
+# the embodiment parity test (parity_test), the statistics and
 # placement suites (stats_test, placement_test), whose co-access merge
-# and plan-cost buffers are iterator arithmetic.
+# and plan-cost buffers are iterator arithmetic, and the simulator's
+# golden decision digests (sim_golden_test), which must not move under
+# a different allocator.
 #
 # The default test lists below are the single source: CI calls each
 # stage with no regex override.
@@ -31,7 +33,7 @@ STAGE="${1:-all}"
 status=0
 
 run_asan() {
-  local regex="${1:-gf_test|erasure_test|codec_family_test|core_test|cache_test|parity_test|fault_test|chaos_test|shard_stress_test|tail_test|overload_test|stats_test|placement_test}"
+  local regex="${1:-gf_test|erasure_test|codec_family_test|core_test|cache_test|parity_test|fault_test|chaos_test|shard_stress_test|tail_test|overload_test|stats_test|placement_test|sim_golden_test}"
   local build=build-asan
   cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DECSTORE_SANITIZE=ON
   cmake --build "$build" -j"$(nproc)"

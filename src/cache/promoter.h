@@ -52,9 +52,6 @@ class ReplicaPromoter {
     /// Frequency below which a promoted block demotes. Must sit below
     /// promote_min_frequency for hysteresis.
     double demote_frequency = 0.002;
-    /// Cap on promotions per movement round — promotion shares the
-    /// mover's bandwidth-limited rounds, so it ramps rather than bursts.
-    std::size_t max_promotions_per_round = 4;
     /// Blocks larger than this never promote (0 = no size gate). A
     /// replica is read as ONE whole-block fetch from a single site,
     /// while EC reads k chunks in parallel — so promotion pays off for

@@ -1,5 +1,7 @@
 // System-level configuration: the six techniques the paper evaluates and
-// every tunable the services expose (Section V-B3 parameter choices).
+// the tunables that benches, workloads and tests set (Section V-B3
+// parameter choices). Values nothing varies are named constants at their
+// point of use, e.g. the simulator's cost model in core/sim_store.h.
 #pragma once
 
 #include <cstdint>
@@ -9,10 +11,8 @@
 #include "cache/promoter.h"
 #include "common/codec_spec.h"
 #include "common/types.h"
-#include "fault/retry.h"
 #include "overload/overload.h"
 #include "placement/mover.h"
-#include "sim/network.h"
 #include "sim/site.h"
 
 namespace ecstore {
@@ -62,14 +62,10 @@ struct DataPlaneParams {
   double straggler_probability = 0.0;
   double straggler_factor = 10.0;
   /// Per-fetch deadline in milliseconds: when > 0 and a block is still
-  /// short of k when it expires, the store runs bounded retry rounds (see
-  /// `retry`) against the block's unfetched chunks before falling into
-  /// the degraded-read path. 0 disables deadlines.
+  /// short of k when it expires, the store issues one hedge round over the
+  /// block's untried chunks before falling into the degraded-read path
+  /// (DESIGN.md §9). 0 waits for every planned fetch before hedging.
   double fetch_deadline_ms = 0.0;
-  /// Bounded retry policy for those rounds (DESIGN.md §9): exponential
-  /// backoff + jitter under a per-request deadline budget. The defaults
-  /// (one immediate retry round) reproduce the original one-shot hedge.
-  RetryParams retry;
   /// Seed for the data plane's latency draws. Deliberately independent of
   /// ECStoreConfig::seed so planning parity with the simulator embodiment
   /// is unaffected by fetch timing.
@@ -108,33 +104,16 @@ struct ECStoreConfig {
   SimTime stats_report_interval = 5 * kSecond;
   std::size_t co_access_window = 5000;
 
-  // --- Probing for o_j (Section V-B3).
-  SimTime probe_interval = 1 * kSecond;
-
   // --- Chunk mover (Sections IV-D, V-B2, VI-C5: <= 1 chunk/second).
   double mover_chunks_per_sec = 1.0;
   MoverParams mover;
 
   // --- Plan cache + planners (Section V-B1).
   std::size_t plan_cache_capacity = 200000;
-  /// Modeled latency of a plan-cache lookup / greedy fallback (the paper
-  /// measures sub-millisecond access planning).
-  SimTime plan_lookup_cost = 60;          // 0.06 ms
-  SimTime greedy_plan_cost = 250;         // 0.25 ms
-  SimTime random_plan_cost = 120;         // baseline planning cost
-  /// Modeled latency of the background ILP solve ("order of tens of
-  /// milliseconds", Section V-B1).
-  SimTime ilp_solve_latency = 20 * kMillisecond;
-  /// Relative change in mean o_j that invalidates all cached plans.
-  double epoch_bump_threshold = 0.3;
   /// Uniform tie-break noise added to o_j per planning decision, as a
   /// fraction of the mean overhead. Prevents equal-cost solves from all
   /// picking the same (lowest-indexed) sites and herding load.
   double cost_tiebreak_noise = 0.25;
-
-  // --- Metadata service access (client -> control plane round trip).
-  SimTime metadata_base_latency = 300;    // 0.3 ms
-  SimTime metadata_per_block = 25;        // lookup cost per requested block
 
   // --- Client-side decode model: throughput of the RS decode when parity
   // chunks are involved (calibrated by bench_micro_erasure; pure
@@ -146,7 +125,6 @@ struct ECStoreConfig {
 
   // --- Physical models.
   sim::SiteParams site;
-  sim::NetworkParams net;
   /// Heterogeneity: these sites run with their media and overhead slowed
   /// by `slow_factor` (e.g. aging disks, background batch jobs). The
   /// dynamic o_j estimation discovers them; static baselines cannot.
@@ -182,18 +160,6 @@ struct ECStoreConfig {
   /// Co-access prefetch: on a cache hit, asynchronously warm the anchor's
   /// likeliest co-access partners (requires the cache).
   bool cache_prefetch = false;
-  /// Partners considered per prefetch trigger and the λ floor below which
-  /// a partner is not worth warming.
-  std::size_t prefetch_max_partners = 4;
-  double prefetch_min_lambda = 0.2;
-  /// Prefetch worker threads (LocalECStore; the DES schedules fills on
-  /// its event queue instead).
-  std::size_t prefetch_threads = 2;
-  /// Modeled latency of a cache hit in the simulator embodiment (client
-  /// memory read + coherence version check; no site I/O, no decode).
-  SimTime cache_hit_cost = 20;  // 0.02 ms
-  /// Modeled delay until a simulated prefetch fill lands in the cache.
-  SimTime prefetch_fill_latency = 5 * kMillisecond;
 
   // --- Dynamic hybrid redundancy (DESIGN.md §12): the movement round
   // promotes the hottest EC blocks to full replicas and demotes cooled
@@ -205,12 +171,11 @@ struct ECStoreConfig {
   // both off: no cost-value change, no extra RNG draws, bit-identical
   // fig4b and embodiment parity.
   /// Weight of the tail term added to Eq. 1's per-site overhead:
-  /// o_j += tail_weight * max(0, p_tail(j) − mean(j)), so planning steers
+  /// o_j += tail_weight * max(0, p99(j) − mean(j)), so planning steers
   /// around high-variance sites, not just loaded ones. 0 disables the
-  /// term entirely (o_j untouched).
+  /// term entirely (o_j untouched). The quantile and the straggler cut
+  /// (5x the site mean) are LoadTrackerParams defaults.
   double tail_weight = 0.0;
-  /// Quantile the tail term (and the LoadTracker summary cache) uses.
-  double tail_quantile = 0.99;
   /// Adaptive late binding: derive δ per request from the predicted
   /// straggler probability instead of the static late_binding_delta.
   /// Only meaningful for the LB techniques (others keep δ = 0). δ is the
@@ -223,9 +188,6 @@ struct ECStoreConfig {
   double adaptive_delta_epsilon = 1e-3;
   /// Cap on the per-request δ; 0 means "up to r" (every parity chunk).
   std::uint32_t adaptive_delta_max = 0;
-  /// A fetch counts as a straggler when its service time exceeds this
-  /// multiple of its site's mean (LoadTracker summary input).
-  double straggler_multiple = 5.0;
   /// Service-time samples per LoadTracker rotation window. Estimates read
   /// the merged previous+current window, so a load regime is fully
   /// forgotten after two rotations. Smaller windows track regime changes

@@ -8,6 +8,14 @@ namespace ecstore {
 
 namespace {
 
+/// Largest per-site o_j drift, relative to the mean o_j, that cached plans
+/// survive; beyond it every plan is invalidated (ReloadPlansOnDrift).
+constexpr double kEpochBumpThreshold = 0.3;
+
+/// Promotions per movement round: promotion shares the mover's
+/// bandwidth-limited rounds, so it ramps rather than bursts.
+constexpr std::size_t kMaxPromotionsPerRound = 4;
+
 /// Per-site media read cost in milliseconds per byte, from the site model.
 double MediaMsPerByte(const sim::SiteParams& site) {
   return 1000.0 / site.disk_bytes_per_sec;
@@ -27,11 +35,9 @@ FailureDetectorParams EffectiveDetectorParams(const ECStoreConfig& c) {
   return p;
 }
 
-/// The tail-model knobs live in the system config; fold them into the
+/// The tail model's window lives in the system config; fold it into the
 /// embodiment-supplied tracker params so LoadTracker stays config-free.
 LoadTrackerParams WithTailParams(LoadTrackerParams p, const ECStoreConfig& c) {
-  p.tail_quantile = c.tail_quantile;
-  p.straggler_multiple = c.straggler_multiple;
   p.latency_window = std::max<std::uint64_t>(1, c.latency_window);
   return p;
 }
@@ -259,8 +265,8 @@ void ControlPlane::RunPromotionRound(const LayoutRewrite& rewrite) {
   std::size_t promoted = 0;
   BlockInfo info;
   for (const CoAccessPartner& hot :
-       HottestBlocks(params.max_promotions_per_round * 8 + 8)) {
-    if (promoted >= params.max_promotions_per_round) break;
+       HottestBlocks(kMaxPromotionsPerRound * 8 + 8)) {
+    if (promoted >= kMaxPromotionsPerRound) break;
     if (!state_->ReadBlock(hot.block, &info)) continue;
     if (info.codec.family == CodecFamilyId::kReplication) continue;
     const std::uint64_t extra = ReplicaPromoter::ReplicaExtraBytes(
@@ -333,7 +339,7 @@ void ControlPlane::ReloadPlansOnDrift() {
       max_drift = std::max(
           max_drift, std::abs(overheads[j] - overheads_at_epoch_[j]) / mean_o);
     }
-    if (max_drift > config_->epoch_bump_threshold) {
+    if (max_drift > kEpochBumpThreshold) {
       overheads_at_epoch_ = overheads;
       bump = true;
     }

@@ -396,8 +396,8 @@ class ControlPlane {
   /// One hybrid-redundancy round, run by the movement round: demotes
   /// cooled promoted blocks back to their original spec, then promotes
   /// the hottest EC blocks to replicas within the budget and size gate,
-  /// at most max_promotions_per_round per round. New layouts land on
-  /// SelectWriteSites(spec, current sites); `rewrite` executes each one.
+  /// at most four per round. New layouts land on SelectWriteSites(spec,
+  /// current sites); `rewrite` executes each one.
   /// No-op without the promoter or at brownout >= L2.
   void RunPromotionRound(const LayoutRewrite& rewrite);
 

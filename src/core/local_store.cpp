@@ -12,6 +12,9 @@ namespace ecstore {
 
 namespace {
 
+/// Prefetch fill workers (DESIGN.md §12).
+constexpr std::size_t kPrefetchThreads = 2;
+
 /// Shared between the requesting thread and the fetch workers. Jobs hold
 /// a shared_ptr so the context (and its mutex) outlives an abandoned
 /// request with stragglers still queued. Workers apply the read core's
@@ -78,8 +81,7 @@ LocalECStore::LocalECStore(ECStoreConfig config)
   // their own pool, so warming never sits on a request path.
   if (control_plane_.block_cache() && config_.cache_prefetch) {
     prefetch_cancel_ = std::make_shared<std::atomic<bool>>(false);
-    prefetch_pool_ = std::make_unique<WorkerPool>(
-        std::max<std::size_t>(1, config_.prefetch_threads));
+    prefetch_pool_ = std::make_unique<WorkerPool>(kPrefetchThreads);
   }
   DataPlane::SojournObserver sojourn;
   OverloadControl* const overload = control_plane_.overload();
@@ -180,7 +182,7 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
             }
             // A failed node, a moved/deleted chunk, a checksum mismatch,
             // or an injected I/O error answers nullptr — a miss, routed
-            // into the retry rounds / degraded top-up, not an error.
+            // into the hedge round / degraded top-up, not an error.
             if (!skip) data = node->FetchChunk(block, chunk);
           }
           std::lock_guard<std::mutex> lock(ctx->mu);
@@ -211,71 +213,28 @@ std::vector<std::vector<IndexedChunk>> LocalECStore::FetchChunks(
     issue(f);
   }
 
-  // Wait for the race to settle, then run bounded retry rounds for blocks
-  // still incomplete (DESIGN.md §9) over the read core's candidates. Round
-  // 1 is the hedge: it fires when the per-fetch deadline expires (or when
-  // every fetch already finished short). Later rounds — enabled by
-  // raising retry.max_retries — wait a jittered exponential backoff and
-  // re-roll transient errors, until the rounds or the request's deadline
-  // budget run out.
-  const double deadline_ms = config_.data_plane.fetch_deadline_ms;
-  // End-to-end deadline (DESIGN.md §14): cap the retry schedule's
-  // budget to the request's remaining time, so no retry round whose
-  // earliest completion would land past the deadline is ever issued.
-  // Without a deadline the params pass through untouched.
-  RetryParams retry_params = config_.data_plane.retry;
-  if (deadline != std::chrono::steady_clock::time_point::max()) {
-    // Floor above zero: 0 means "no cap" to RetryParams, and an already
-    // expired budget must refuse every retry round, not allow them all.
-    const double remaining_ms =
-        std::max(std::chrono::duration<double, std::milli>(
-                     deadline - std::chrono::steady_clock::now())
-                     .count(),
-                 1e-6);
-    if (retry_params.request_deadline_ms <= 0 ||
-        remaining_ms < retry_params.request_deadline_ms) {
-      retry_params.request_deadline_ms = remaining_ms;
-    }
-  }
-  RetrySchedule schedule(retry_params, config_.data_plane.seed);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto elapsed_ms = [&t0] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
+  // Wait for the race to settle — up to the per-fetch deadline when one
+  // is set — then hedge once (DESIGN.md §9): every untried chunk of a
+  // block still short of k, unless the request's end-to-end deadline
+  // (DESIGN.md §14) has already passed. Whatever is in flight then
+  // settles, and blocks still short fall into the degraded path below.
   const auto settled = [&] { return read.complete() || ctx->outstanding == 0; };
-  for (int round = 1;; ++round) {
-    if (deadline_ms > 0) {
-      ctx->cv.wait_for(
-          lock, std::chrono::duration<double, std::milli>(deadline_ms),
-          settled);
-    } else {
-      ctx->cv.wait(lock, settled);
-    }
-    if (read.complete()) break;
-    if (!schedule.ShouldRetry(round, elapsed_ms())) {
-      // Budget spent: let whatever is still in flight finish, then fall
-      // through to the degraded path for the blocks that stayed short.
-      ctx->cv.wait(lock, settled);
-      break;
-    }
-    const double backoff = schedule.WaitMs(round);
-    if (backoff > 0) {
-      ctx->cv.wait_for(lock,
-                       std::chrono::duration<double, std::milli>(backoff),
-                       [&read] { return read.complete(); });
-      if (read.complete()) break;
-    }
-    const std::vector<ChunkFetch> retry = read.RetryCandidates(round);
-    for (const ChunkFetch& f : retry) {
+  const double deadline_ms = config_.data_plane.fetch_deadline_ms;
+  if (deadline_ms > 0) {
+    ctx->cv.wait_for(lock, std::chrono::duration<double, std::milli>(deadline_ms),
+                     settled);
+  } else {
+    ctx->cv.wait(lock, settled);
+  }
+  if (!read.complete() && std::chrono::steady_clock::now() < deadline) {
+    const std::vector<ChunkFetch> hedge = read.HedgeCandidates();
+    for (const ChunkFetch& f : hedge) {
       ++ctx->outstanding;
       issue(f);
     }
-    retried_fetches_.fetch_add(retry.size(), std::memory_order_relaxed);
-    if (retry.empty() && ctx->outstanding == 0) break;  // Nothing left to try.
+    retried_fetches_.fetch_add(hedge.size(), std::memory_order_relaxed);
   }
+  ctx->cv.wait(lock, settled);
 
   ctx->read = nullptr;
   ctx->cancel->store(true, std::memory_order_release);
@@ -334,7 +293,7 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
     return out;
   }
   // End-to-end deadline (DESIGN.md §14): the absolute budget flows into
-  // the fetch fan-out (per-site queue expiry) and the retry schedule.
+  // the fetch fan-out (per-site queue expiry) and gates the hedge round.
   OverloadControl* const overload = control_plane_.overload();
   const auto deadline =
       overload && overload->deadline_ms() > 0
@@ -348,7 +307,7 @@ std::vector<std::vector<std::uint8_t>> LocalECStore::MultiGet(
   // Planning takes no store-wide lock (DESIGN.md §10): the control plane
   // synchronizes itself per shard and the catalog per stripe. A write
   // racing this path is absorbed downstream — a chunk that moved after
-  // the snapshot comes back as a miss and the retry rounds / degraded
+  // the snapshot comes back as a miss and the hedge round / degraded
   // path re-resolve it against the committed catalog.
   const std::uint64_t seq =
       gets_since_refresh_.fetch_add(1, std::memory_order_relaxed) + 1;

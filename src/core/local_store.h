@@ -15,8 +15,8 @@
 // arrivals — stragglers are cancelled or ignored, which is the paper's
 // EC+LB technique running on real bytes. A block still incomplete (a
 // deadline expired, or fetches came back as misses — failed nodes,
-// corrupt chunks, injected I/O errors) gets bounded retry rounds
-// (DataPlaneParams::retry) before the degraded-read path takes over.
+// corrupt chunks, injected I/O errors) gets one hedge round over its
+// untried chunks before the degraded-read path takes over.
 //
 // Robustness (DESIGN.md §9): every chunk read is CRC32C-verified at the
 // node, so corruption surfaces as an erasure and is decoded around; an
@@ -39,8 +39,8 @@
 // multi-step catalog+node mutations that must not interleave), and the
 // degraded-read fallback takes it so its survivor scan sees a consistent
 // catalog. Readers racing a writer are safe without it — they plan from
-// an atomic snapshot and absorb staleness through retry rounds and the
-// degraded path.
+// an atomic snapshot and absorb staleness through the hedge round and
+// the degraded path.
 // Lock order: meta_mu_ -> refresh_mu_ -> control-plane internal locks ->
 // defer_mu_ / pool queue; fetch workers take only per-fetch-context and
 // per-node locks.
@@ -168,7 +168,7 @@ class LocalECStore {
 
   /// Silent crash/heal (DESIGN.md §9): flips only the node's ground
   /// truth. Planning still routes reads there — they come back as misses
-  /// and retry/degrade — until the failure detector notices the missed
+  /// and hedge/degrade — until the failure detector notices the missed
   /// heartbeats and marks the site dead; HealNode lets the next heartbeat
   /// revive the belief.
   void CrashNode(SiteId site);
@@ -268,19 +268,18 @@ class LocalECStore {
                           const CodecSpec& spec, std::span<const SiteId> sites);
   /// The read transport around the shared ReadRequest core: fans the
   /// core's planned fetches out to the data plane, where workers apply
-  /// its completion rule (stragglers cancelled or ignored); runs bounded
-  /// retry rounds (config.data_plane.retry) over its retry candidates;
-  /// then tops up any block still incomplete from whatever reachable
-  /// chunks remain (the degraded-read path, under the metadata lock),
+  /// its completion rule (stragglers cancelled or ignored); issues one
+  /// hedge round over the core's HedgeCandidates once the fetches settle
+  /// or data_plane.fetch_deadline_ms expires; then tops up any block
+  /// still incomplete from whatever reachable chunks remain (the
+  /// degraded-read path, under the metadata lock),
   /// re-snapshotting a block a promotion/demotion rewrote mid-fetch so
   /// old-encoding chunks are never mixed with the new layout. Throws when
   /// a block stays incomplete. Called WITHOUT meta_mu_ held. Returns the
   /// delivered chunks per block, parallel to read.blocks(). `deadline`
   /// (steady-clock absolute; max() = none) is the request's end-to-end
   /// budget: fetch jobs enqueue with it (expiring at the per-site queue
-  /// once it passes) and the retry schedule's budget is capped to the
-  /// time remaining, so no retry round is issued whose earliest
-  /// completion would land past it.
+  /// once it passes), and no hedge is issued after it.
   std::vector<std::vector<IndexedChunk>> FetchChunks(
       ReadRequest& read, std::chrono::steady_clock::time_point deadline);
 

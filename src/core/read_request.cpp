@@ -4,6 +4,15 @@
 
 namespace ecstore {
 
+namespace {
+
+/// Co-access partners warmed per cache hit, and the λ floor below which a
+/// partner is not worth warming (DESIGN.md §12).
+constexpr std::size_t kPrefetchMaxPartners = 4;
+constexpr double kPrefetchMinLambda = 0.2;
+
+}  // namespace
+
 AdmissionTicket ControlPlane::Admit(double now_ms) {
   if (!overload_ || !overload_->gate_enabled()) return {nullptr, false};
   AdmissionController* const gate = overload_->admission();
@@ -88,9 +97,8 @@ std::vector<BlockId> ReadRequest::RecordAndSplit() {
     // Claim fills for the hit's co-access partners, λ descending, not in
     // this request; BeginPrefetch dedups against resident entries and
     // fills already in flight — at most one fill per block.
-    for (const CoAccessPartner& p :
-         cp_->CoAccessPartnersOf(id, config.prefetch_max_partners)) {
-      if (p.lambda < config.prefetch_min_lambda) break;
+    for (const CoAccessPartner& p : cp_->CoAccessPartnersOf(id, kPrefetchMaxPartners)) {
+      if (p.lambda < kPrefetchMinLambda) break;
       if (std::find(ids.begin(), ids.end(), p.block) != ids.end()) continue;
       if (cache->BeginPrefetch(p.block)) fills.push_back(p.block);
     }
@@ -144,18 +152,16 @@ bool ReadRequest::complete() const {
                      [](const BlockRead& b) { return b.complete; });
 }
 
-std::vector<ChunkFetch> ReadRequest::RetryCandidates(int round) {
+std::vector<ChunkFetch> ReadRequest::HedgeCandidates() {
   std::vector<ChunkFetch> out;
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     BlockRead& b = blocks_[i];
     if (b.complete) continue;
     for (const ChunkLocation& loc : b.info.locations) {
-      if (b.Has(loc.chunk) || !state_->IsSiteAvailable(loc.site)) continue;
-      if (!b.tried.test(loc.chunk)) {
-        b.tried.set(loc.chunk);
-      } else if (round == 1) {
+      if (b.tried.test(loc.chunk) || !state_->IsSiteAvailable(loc.site)) {
         continue;
       }
+      b.tried.set(loc.chunk);
       out.push_back({i, loc.chunk, loc.site});
     }
   }

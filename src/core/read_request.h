@@ -1,7 +1,7 @@
 // ReadRequest: one read's shared state and every decision of its
 // lifecycle (DESIGN.md §5), made once for both embodiments — Fig. 3's
 // R1-R3 path as admission, cache split, plan snapshot, first-k
-// completion, retry choice and cache fill. The embodiments keep only the
+// completion, hedge choice and cache fill. The embodiments keep only the
 // transport: DES events in SimECStore, DataPlane jobs and a condvar wait
 // in LocalECStore. Not synchronized; LocalECStore guards its fetch-phase
 // calls with the fetch context's mutex.
@@ -120,10 +120,9 @@ class ReadRequest {
   /// Every block complete.
   bool complete() const;
 
-  /// Chunks to re-issue for incomplete blocks, on sites believed up,
-  /// marked tried: round 1 hedges with untried chunks only, later rounds
-  /// re-issue everything undelivered.
-  std::vector<ChunkFetch> RetryCandidates(int round);
+  /// The one hedge round's fetches: every untried chunk of an incomplete
+  /// block on a site believed up, now marked tried.
+  std::vector<ChunkFetch> HedgeCandidates();
 
   /// Re-snapshots block `i` from `info` (a rewrite changed its layout),
   /// dropping its progress.

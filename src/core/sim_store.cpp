@@ -45,7 +45,7 @@ struct SimECStore::PendingRequest {
 SimECStore::SimECStore(ECStoreConfig config)
     : config_(config),
       rng_(config.seed),
-      net_(config.net, Rng(config.seed ^ 0x6E65745F726E67ULL)),
+      net_(sim::NetworkParams{}, Rng(config.seed ^ 0x6E65745F726E67ULL)),
       state_(config.num_sites),
       control_plane_(
           &config_, &state_, &rng_,
@@ -54,7 +54,7 @@ SimECStore::SimECStore(ECStoreConfig config)
           // of tens of milliseconds"), preserving simulated-time
           // semantics for every background refinement.
           [this](ControlPlane::Deferred work) {
-            queue_.ScheduleAfter(config_.ilp_solve_latency, std::move(work));
+            queue_.ScheduleAfter(kIlpSolveLatency, std::move(work));
           },
           [&] {
             LoadTrackerParams p;
@@ -101,7 +101,7 @@ void SimECStore::Start() {
   assert(!started_);
   started_ = true;
   queue_.ScheduleAfter(config_.stats_report_interval, [this] { StatsTick(); });
-  queue_.ScheduleAfter(config_.probe_interval, [this] { ProbeTick(); });
+  queue_.ScheduleAfter(kProbeInterval, [this] { ProbeTick(); });
   if (config_.MoverEnabled()) {
     queue_.ScheduleAfter(MoverPeriod(), [this] { MoverTick(); });
   }
@@ -117,8 +117,7 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
         req->read.admission() == ReadRequest::Admission::kCachedOnly;
     const auto n = static_cast<std::uint32_t>(blocks.size());
     const SimTime serve =
-        cached ? config_.cache_hit_cost * static_cast<SimTime>(n)
-               : FromMillis(config_.overload.shed_penalty_ms);
+        cached ? kCacheHitCost * static_cast<SimTime>(n) : kShedPenalty;
     queue_.ScheduleAfter(serve, [this, start, cached, n,
                                  done = std::move(done)] {
       RequestBreakdown out;
@@ -156,7 +155,7 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
   // event after the modeled fetch+decode delay; it re-reads the catalog
   // at fill time so a concurrent rewrite or delete simply drops the fill.
   for (BlockId block : req->read.RecordAndSplit()) {
-    queue_.ScheduleAfter(config_.prefetch_fill_latency, [this, block] {
+    queue_.ScheduleAfter(kPrefetchFillLatency, [this, block] {
       BlockInfo info;
       const bool live = state_.ReadBlock(block, &info);
       control_plane_.FinishPrefetch(block, live ? &info : nullptr, nullptr);
@@ -165,8 +164,8 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
   if (req->read.AllCached()) {
     // Fully cached: no metadata trip, no fan-out, no decode — just the
     // modeled per-block hit cost.
-    const SimTime serve = config_.cache_hit_cost *
-                          static_cast<SimTime>(req->read.cached_blocks());
+    const SimTime serve =
+        kCacheHitCost * static_cast<SimTime>(req->read.cached_blocks());
     queue_.ScheduleAfter(serve, [this, req] {
       if (req->finished) return;  // The deadline fired first.
       req->finished = true;       // Disarms the deadline timer.
@@ -179,10 +178,10 @@ void SimECStore::Get(std::vector<BlockId> blocks, GetCallback done) {
   }
 
   // R1: metadata access — a control-plane round trip plus lookup work.
-  req->metadata = net_.RoundTrip() + config_.metadata_base_latency +
-                  config_.metadata_per_block *
-                      static_cast<SimTime>(blocks.size() -
-                                           req->read.cached_blocks());
+  req->metadata =
+      net_.RoundTrip() + kMetadataBaseLatency +
+      kMetadataPerBlock *
+          static_cast<SimTime>(blocks.size() - req->read.cached_blocks());
   queue_.ScheduleAfter(req->metadata, [this, req] { PlanPhase(req); });
 }
 
@@ -196,13 +195,13 @@ void SimECStore::PlanPhase(std::shared_ptr<PendingRequest> req) {
   }
   switch (req->read.plan_source()) {
     case PlanSource::kCacheHit:
-      req->planning = config_.plan_lookup_cost;
+      req->planning = kPlanLookupCost;
       break;
     case PlanSource::kGreedy:
-      req->planning = config_.greedy_plan_cost;
+      req->planning = kGreedyPlanCost;
       break;
     case PlanSource::kRandom:
-      req->planning = config_.random_plan_cost;
+      req->planning = kRandomPlanCost;
       break;
   }
   queue_.ScheduleAfter(req->planning, [this, req] { IssueReads(req); });
@@ -298,7 +297,7 @@ void SimECStore::RetryAfterFailure(const std::shared_ptr<PendingRequest>& req,
                                    std::uint32_t generation) {
   if (req->finished || req->generation != generation) return;
   if (req->deadline > 0 &&
-      queue_.Now() + config_.metadata_base_latency >= req->deadline) {
+      queue_.Now() + kMetadataBaseLatency >= req->deadline) {
     // The re-plan's earliest completion already misses the deadline: do
     // not issue it. The timeout event completes the request, so
     // retried_fetches_ counts only retries actually taken.
@@ -306,7 +305,7 @@ void SimECStore::RetryAfterFailure(const std::shared_ptr<PendingRequest>& req,
   }
   ++req->generation;  // Poison outstanding chunk events immediately.
   ++retried_fetches_;
-  queue_.ScheduleAfter(config_.metadata_base_latency, [this, req] {
+  queue_.ScheduleAfter(kMetadataBaseLatency, [this, req] {
     if (req->finished) return;
     PlanPhase(req);
   });
@@ -329,7 +328,7 @@ void SimECStore::OnBatchArrived(
   // Every issued read arrived and a block still does not decode (an LRC
   // plan over a non-decodable chunk set): hedge with its untried chunks,
   // or fail when none are left.
-  const std::vector<ChunkFetch> hedge = req->read.RetryCandidates(1);
+  const std::vector<ChunkFetch> hedge = req->read.HedgeCandidates();
   if (hedge.empty()) {
     Complete(req, /*ok=*/false);
     return;
@@ -402,8 +401,7 @@ void SimECStore::Put(BlockId id, std::uint64_t block_bytes, PutCallback done) {
   // as reads — under overload a shed Put fast-fails like a shed Get.
   AdmissionTicket ticket = control_plane_.Admit(ToMillis(start));
   if (ticket.shed()) {
-    queue_.ScheduleAfter(FromMillis(config_.overload.shed_penalty_ms),
-                         [this, start, done = std::move(done)] {
+    queue_.ScheduleAfter(kShedPenalty, [this, start, done = std::move(done)] {
       done(PutResult{queue_.Now() - start, false});
     });
     return;
@@ -416,7 +414,7 @@ void SimECStore::Put(BlockId id, std::uint64_t block_bytes, PutCallback done) {
     };
   }
   // W1: placement decision at the chunk placement service.
-  const SimTime control = net_.RoundTrip() + config_.metadata_base_latency;
+  const SimTime control = net_.RoundTrip() + kMetadataBaseLatency;
   queue_.ScheduleAfter(control, [this, id, block_bytes, start,
                                  done = std::move(done)]() mutable {
     const std::vector<SiteId> sites = ChooseWriteSites();
@@ -441,11 +439,9 @@ void SimECStore::Put(BlockId id, std::uint64_t block_bytes, PutCallback done) {
                      done = std::move(done), remaining]() {
         if (--*remaining > 0) return;
         // W3: metadata commit.
-        queue_.ScheduleAfter(config_.metadata_base_latency, [this, id,
-                                                             block_bytes,
-                                                             chunk_bytes,
-                                                             final_sites,
-                                                             start, done] {
+        queue_.ScheduleAfter(kMetadataBaseLatency,
+                             [this, id, block_bytes, chunk_bytes, final_sites,
+                              start, done] {
           PutResult result;
           result.ok = !state_.Contains(id);
           if (result.ok) {
@@ -499,7 +495,7 @@ void SimECStore::Put(BlockId id, std::uint64_t block_bytes, PutCallback done) {
 
 void SimECStore::Delete(BlockId id, PutCallback done) {
   const SimTime start = queue_.Now();
-  const SimTime control = net_.RoundTrip() + config_.metadata_base_latency;
+  const SimTime control = net_.RoundTrip() + kMetadataBaseLatency;
   queue_.ScheduleAfter(control, [this, id, start, done = std::move(done)] {
     PutResult result;
     result.ok = state_.Contains(id);
@@ -613,7 +609,7 @@ void SimECStore::ProbeTick() {
     });
     control_plane_.ChargeStatsNetwork(kProbeMsgBytes);
   }
-  queue_.ScheduleAfter(config_.probe_interval, [this] { ProbeTick(); });
+  queue_.ScheduleAfter(kProbeInterval, [this] { ProbeTick(); });
 }
 
 SimTime SimECStore::MoverPeriod() const {

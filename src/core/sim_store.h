@@ -30,6 +30,29 @@
 
 namespace ecstore {
 
+// --- The simulator's fixed cost model, in simulated microseconds.
+/// o_j probe period (Section V-B3).
+inline constexpr SimTime kProbeInterval = 1 * kSecond;
+/// Access planning by source: plan-cache lookup, greedy fallback, random
+/// baseline (the paper measures sub-millisecond planning, Section V-B1).
+inline constexpr SimTime kPlanLookupCost = 60;   // 0.06 ms
+inline constexpr SimTime kGreedyPlanCost = 250;  // 0.25 ms
+inline constexpr SimTime kRandomPlanCost = 120;  // 0.12 ms
+/// Background ILP solve ("order of tens of milliseconds", Section V-B1).
+inline constexpr SimTime kIlpSolveLatency = 20 * kMillisecond;
+/// Metadata service work behind the control-plane round trip: per
+/// request, plus a lookup per requested block.
+inline constexpr SimTime kMetadataBaseLatency = 300;  // 0.3 ms
+inline constexpr SimTime kMetadataPerBlock = 25;
+/// Cache hit: client memory read + coherence version check, no site I/O
+/// and no decode (DESIGN.md §12).
+inline constexpr SimTime kCacheHitCost = 20;  // 0.02 ms
+/// Delay until a prefetch fill lands in the cache.
+inline constexpr SimTime kPrefetchFillLatency = 5 * kMillisecond;
+/// An admission-control shed (DESIGN.md §14): a fast-fail two orders of
+/// magnitude under a served request.
+inline constexpr SimTime kShedPenalty = 50;  // 0.05 ms
+
 /// Per-request latency breakdown in simulated microseconds — the four
 /// categories of Fig. 1 / Fig. 4b.
 struct RequestBreakdown {

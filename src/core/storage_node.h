@@ -6,7 +6,7 @@
 // every read, so silently corrupted bytes surface as a miss (an erasure
 // the degraded-read path routes around) and never reach a client. The
 // fetch path additionally supports injected transient I/O errors, which
-// exercise the bounded-retry policy without taking the node down.
+// exercise the hedge and degraded paths without taking the node down.
 //
 // Thread-safe: the concurrent data plane (core/data_plane.h) reads chunks
 // from pool workers while writers (Put, movement, repair, scrub) and the

@@ -70,7 +70,7 @@ std::vector<FaultEvent> GenerateFaultSchedule(const FaultScheduleParams& params,
     events.push_back(e);
   }
   // Error/corruption victims may coincide with any site: these faults do
-  // not take the site down, they exercise the checksum and retry paths.
+  // not take the site down, they exercise the checksum and hedge paths.
   for (std::size_t i = 0; i < params.fetch_error_sites; ++i) {
     FaultEvent e;
     e.at_ms = (0.05 + 0.75 * rng.NextDouble()) * params.horizon_ms;

@@ -51,9 +51,6 @@ struct OverloadParams {
   // --- End-to-end deadline ---
   /// Per-request budget in milliseconds; 0 disables deadlines.
   double deadline_ms = 0.0;
-  /// Modeled cost of a shed rejection in the simulator (fast-fail: two
-  /// orders of magnitude under a served request).
-  double shed_penalty_ms = 0.05;
 
   // --- Admission control ---
   bool admission = false;

@@ -10,6 +10,10 @@ namespace ecstore {
 
 namespace {
 
+/// Destinations examined per chunk, best-candidate-first (greedy
+/// subroutines, Section IV-D).
+constexpr std::size_t kCandidateDestinations = 8;
+
 /// Builds the pairwise demands {B_b, B_i} for Eq. 5, optionally applying
 /// a virtual relocation of B_b's chunk from `source` to `destination`.
 std::vector<BlockDemand> PairDemands(const ClusterState& state, BlockId b,
@@ -142,11 +146,9 @@ double EstimateLoadGain(const MoverContext& ctx, BlockId block, SiteId source,
 
 double MovementScore(const MoverContext& ctx, BlockId block, SiteId source,
                      SiteId destination, const MoverParams& params) {
-  const double e = EstimateAccessGain(ctx, block, source, destination,
-                                      params.max_partners);
-  const double i =
-      params.shift_load_estimate ? EstimateLoadGain(ctx, block, source, destination)
-                                 : 0.0;
+  const double e =
+      EstimateAccessGain(ctx, block, source, destination, kMoverPartners);
+  const double i = EstimateLoadGain(ctx, block, source, destination);
   return params.w1 * e + params.w2 * i;  // Eq. 8.
 }
 
@@ -177,8 +179,7 @@ std::optional<MovementPlan> SelectMovementPlan(const MoverContext& ctx,
     const BlockInfo& info = state.GetBlock(block);
 
     // Partner list and before-move costs are per-block invariants.
-    const BlockGainContext bctx =
-        BuildBlockGainContext(ctx, block, params.max_partners);
+    const BlockGainContext bctx = BuildBlockGainContext(ctx, block, kMoverPartners);
 
     // Line 4: candidate destinations exclude sites already holding a
     // chunk of the block. Best-candidate-first ordering (Section IV-D):
@@ -187,7 +188,7 @@ std::optional<MovementPlan> SelectMovementPlan(const MoverContext& ctx,
     // least-loaded sites for load-shedding moves.
     std::vector<SiteId> destinations;
     const auto consider = [&](SiteId site) {
-      if (destinations.size() >= params.candidate_destinations) return;
+      if (destinations.size() >= kCandidateDestinations) return;
       if (!state.IsSiteAvailable(site) || state.HasChunkAt(block, site)) return;
       if (std::find(destinations.begin(), destinations.end(), site) !=
           destinations.end()) {
@@ -218,9 +219,7 @@ std::optional<MovementPlan> SelectMovementPlan(const MoverContext& ctx,
           continue;  // Vetoed (e.g. group-aware domain constraint).
         }
         const double e = AccessGainWithContext(ctx, bctx, block, src.site, dst);
-        const double i = params.shift_load_estimate
-                             ? EstimateLoadGain(ctx, block, src.site, dst)
-                             : 0.0;
+        const double i = EstimateLoadGain(ctx, block, src.site, dst);
         const double score = params.w1 * e + params.w2 * i;
         ++evaluations;
         if (score > 0 && (!found || score > best.score)) {

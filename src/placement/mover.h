@@ -40,18 +40,12 @@ struct MoverParams {
   double w2 = 3.0;
   /// Candidate blocks sampled per invocation (Algorithm 1 line 1).
   std::size_t candidate_blocks = 8;
-  /// Destinations examined per chunk, least-loaded first (greedy
-  /// subroutines returning best-candidate-first, Section IV-D).
-  std::size_t candidate_destinations = 8;
-  /// Co-access partners per block used to estimate E (Eq. 5).
-  std::size_t max_partners = 10;
   /// Early-stopping: stop scoring once this many plans were evaluated.
   std::size_t max_evaluations = 256;
-  /// Fraction of a block's access I/O attributed to one chunk when
-  /// estimating post-move load shift: k/(k+r) is the probability a given
-  /// chunk is among the k selected under uniform access.
-  bool shift_load_estimate = true;
 };
+
+/// Co-access partners per block used to estimate E (Eq. 5).
+inline constexpr std::size_t kMoverPartners = 10;
 
 /// Statistics snapshot the mover needs: how often a block is accessed per
 /// second (derived by the caller from the co-access window and the
@@ -82,7 +76,7 @@ double EstimateAccessGain(const MoverContext& ctx, BlockId block, SiteId source,
 double EstimateLoadGain(const MoverContext& ctx, BlockId block, SiteId source,
                         SiteId destination);
 
-/// Full Eq. 8 score.
+/// Full Eq. 8 score (E over kMoverPartners partners).
 double MovementScore(const MoverContext& ctx, BlockId block, SiteId source,
                      SiteId destination, const MoverParams& params);
 

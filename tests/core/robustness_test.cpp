@@ -110,13 +110,11 @@ TEST(RobustnessTest, ScrubberHealsWritesDroppedByCrashedNode) {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded retry: injected transient fetch errors are retried and never
-// surface to the client.
+// The hedge round and the degraded top-up: injected transient fetch
+// errors never surface to the client.
 
 TEST(RobustnessTest, TransientFetchErrorsAreRetriedToCompletion) {
   ECStoreConfig config = LocalConfig();
-  config.data_plane.retry.max_retries = 4;
-  config.data_plane.retry.backoff_base_ms = 0.5;
   LocalECStore store(config);
   for (BlockId id = 0; id < 16; ++id) store.Put(id, MakeBlock(8192, id));
 
@@ -133,7 +131,7 @@ TEST(RobustnessTest, TransientFetchErrorsAreRetriedToCompletion) {
   EXPECT_GE(injected, 1u) << "error injection never fired";
 
   const ControlPlaneUsage usage = store.Usage();
-  // Every injected error was absorbed by a retry round or the degraded
+  // Every injected error was absorbed by the hedge round or the degraded
   // top-up — and the counters saw it.
   EXPECT_GE(usage.retried_fetches + usage.degraded_reads, 1u);
 
@@ -141,6 +139,75 @@ TEST(RobustnessTest, TransientFetchErrorsAreRetriedToCompletion) {
   const std::uint64_t before = store.node(0).injected_fetch_errors();
   store.Get(5);
   EXPECT_EQ(store.node(0).injected_fetch_errors(), before);  // Switched off.
+}
+
+// ---------------------------------------------------------------------------
+// One hedge round: a read still short of k when the per-fetch deadline
+// expires re-issues each untried chunk once — never a chunk already in
+// flight, never a second round — and no hedge goes out once the
+// request's end-to-end deadline has passed.
+
+/// Plain EC (exactly k planned fetches) over 4 sites holding one chunk
+/// each of block 1.
+ECStoreConfig HedgeConfig() {
+  ECStoreConfig c = LocalConfig(Technique::kEc);
+  c.num_sites = 4;
+  return c;
+}
+
+TEST(RobustnessTest, StragglerDeadlineIssuesOneHedgeOverUntriedChunks) {
+  ECStoreConfig config = HedgeConfig();
+  config.data_plane.site_extra_latency_ms = {400.0, 0, 0, 0};
+  config.data_plane.fetch_deadline_ms = 50.0;
+  LocalECStore store(config);
+  const auto data = MakeBlock(4096, 1);
+  store.Put(1, data, std::vector<SiteId>{0, 1, 2, 3});
+  std::vector<ChunkRead> plan;
+  store.control_plane().set_plan_observer(
+      [&plan](std::span<const BlockId>, const PlanDecision& d) {
+        plan = d.plan.reads;
+      });
+
+  int straggled = 0;
+  for (int round = 0; round < 16; ++round) {
+    const std::uint64_t before = store.Usage().retried_fetches;
+    EXPECT_EQ(store.Get(1), data);
+    const std::uint64_t hedged = store.Usage().retried_fetches - before;
+    ASSERT_EQ(plan.size(), 2u);
+    const bool hit_straggler =
+        std::any_of(plan.begin(), plan.end(),
+                    [](const ChunkRead& r) { return r.site == 0; });
+    straggled += hit_straggler;
+    // Straggler in the plan: the hedge is the two chunks the plan left
+    // out — not the straggling one again, and no later round. Otherwise
+    // both fetches land inside the deadline and nothing is hedged.
+    EXPECT_EQ(hedged, hit_straggler ? 2u : 0u) << "round " << round;
+  }
+  EXPECT_GT(straggled, 0) << "no plan ever drew the straggler site";
+}
+
+TEST(RobustnessTest, NoHedgeOnceTheRequestDeadlinePassed) {
+  // Every fetch takes 100 ms and the hedge decision comes at the 40 ms
+  // per-fetch deadline: with a 20 ms request deadline it has passed by
+  // then, with a generous one the two untried chunks are hedged.
+  const auto hedged_with_deadline = [](double deadline_ms) {
+    ECStoreConfig config = HedgeConfig();
+    config.data_plane.base_latency_ms = 100.0;
+    config.data_plane.fetch_deadline_ms = 40.0;
+    config.overload.deadline_ms = deadline_ms;
+    LocalECStore store(config);
+    const auto data = MakeBlock(4096, 2);
+    store.Put(1, data, std::vector<SiteId>{0, 1, 2, 3});
+    const std::vector<BlockId> ids = {1};
+    if (deadline_ms < 100.0) {
+      EXPECT_THROW(store.MultiGet(ids), DeadlineExceededError);
+    } else {
+      EXPECT_EQ(store.MultiGet(ids)[0], data);
+    }
+    return store.Usage().retried_fetches;
+  };
+  EXPECT_EQ(hedged_with_deadline(20.0), 0u);
+  EXPECT_EQ(hedged_with_deadline(60'000.0), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -108,9 +108,9 @@ TEST(SimStoreTest, CachedPlanIsCheaperToGenerate) {
   const RequestBreakdown miss1 = RunSingleGet(store, {1, 2});
   const RequestBreakdown miss2 = RunSingleGet(store, {1, 2});  // Queues ILP.
   const RequestBreakdown hit = RunSingleGet(store, {1, 2});
-  EXPECT_EQ(miss1.planning, config.greedy_plan_cost);
-  EXPECT_EQ(miss2.planning, config.greedy_plan_cost);
-  EXPECT_EQ(hit.planning, config.plan_lookup_cost);
+  EXPECT_EQ(miss1.planning, kGreedyPlanCost);
+  EXPECT_EQ(miss2.planning, kGreedyPlanCost);
+  EXPECT_EQ(hit.planning, kPlanLookupCost);
   EXPECT_LT(hit.planning, miss1.planning);
 }
 

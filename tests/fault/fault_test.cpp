@@ -1,6 +1,6 @@
 // Unit tests for the fault subsystem (DESIGN.md §9): CRC32C, seeded fault
-// schedules, the failure detector state machine, the bounded retry
-// policy, and the schedule-expansion / injection-thread drivers.
+// schedules, the failure detector state machine, and the
+// schedule-expansion / injection-thread drivers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "fault/detector.h"
 #include "fault/fault_schedule.h"
 #include "fault/injector.h"
-#include "fault/retry.h"
 
 namespace ecstore {
 namespace {
@@ -180,119 +179,6 @@ TEST(FailureDetectorTest, HeartbeatOnUntrackedSiteIsNotRevival) {
   det.MarkDead(5);
   EXPECT_EQ(det.Health(5), SiteHealth::kDead);
   EXPECT_TRUE(det.Heartbeat(5, 60.0));
-}
-
-// ---------------------------------------------------------------------------
-// Bounded retry.
-
-TEST(RetryScheduleTest, DefaultsReproduceOneShotHedge) {
-  RetrySchedule sched(RetryParams{}, 1);
-  EXPECT_TRUE(sched.ShouldRetry(1, 10'000.0));   // one round, no budget cap
-  EXPECT_FALSE(sched.ShouldRetry(2, 0.0));
-  EXPECT_EQ(sched.WaitMs(1), 0.0);               // fires immediately
-}
-
-TEST(RetryScheduleTest, DeadlineBudgetStopsRetries) {
-  RetryParams params;
-  params.max_retries = 10;
-  params.request_deadline_ms = 500;
-  RetrySchedule sched(params, 1);
-  EXPECT_TRUE(sched.ShouldRetry(3, 499.0));
-  EXPECT_FALSE(sched.ShouldRetry(3, 500.0));
-  EXPECT_FALSE(sched.ShouldRetry(11, 0.0));
-}
-
-TEST(RetryScheduleTest, RetryPastDeadlineEarliestCompletionIsNotIssued) {
-  // Regression (DESIGN.md §14): a retry round whose *earliest possible*
-  // completion — the backoff wait under maximum downward jitter, before
-  // any service time — already lands past the request deadline must be
-  // refused outright, not issued to deliver an answer nobody waits for.
-  RetryParams params;
-  params.max_retries = 4;
-  params.backoff_base_ms = 10;
-  params.jitter_frac = 0.2;
-  params.request_deadline_ms = 100;
-  RetrySchedule sched(params, 1);
-  // MinWaitMs(1) = 10 * (1 - 0.2) = 8: the wait alone needs 8 ms.
-  EXPECT_DOUBLE_EQ(sched.MinWaitMs(1), 8.0);
-  EXPECT_TRUE(sched.ShouldRetry(1, 91.0));    // 91 + 8 < 100: may finish
-  EXPECT_FALSE(sched.ShouldRetry(1, 93.0));   // 93 + 8 > 100: cannot
-  EXPECT_FALSE(sched.ShouldRetry(1, 92.0));   // 92 + 8 = 100: boundary, late
-  // Later rounds back off longer, so they are refused even earlier.
-  EXPECT_DOUBLE_EQ(sched.MinWaitMs(2), 16.0);
-  EXPECT_TRUE(sched.ShouldRetry(2, 83.0));
-  EXPECT_FALSE(sched.ShouldRetry(2, 85.0));
-  // The hard cap bounds MinWaitMs after jitter, like it bounds WaitMs:
-  // round 3's nominal 40 ms jitters down to 32, then clamps to 12.
-  params.max_backoff_ms = 12;
-  RetrySchedule capped(params, 1);
-  EXPECT_DOUBLE_EQ(capped.MinWaitMs(3), 12.0);
-}
-
-TEST(RetryScheduleTest, ExponentialBackoffWithJitterAndCap) {
-  RetryParams params;
-  params.max_retries = 8;
-  params.backoff_base_ms = 10;
-  params.backoff_multiplier = 2.0;
-  params.max_backoff_ms = 50;
-  params.jitter_frac = 0.2;
-  RetrySchedule sched(params, 42);
-  double prev = 0;
-  for (int round = 1; round <= 8; ++round) {
-    const double nominal = std::min(10.0 * (1 << (round - 1)), 50.0);
-    const double w = sched.WaitMs(round);
-    EXPECT_GE(w, nominal * 0.8 - 1e-9) << "round " << round;
-    EXPECT_LE(w, nominal * 1.2 + 1e-9) << "round " << round;
-    if (round <= 3) EXPECT_GT(w, prev * 1.2) << "not growing";  // 10,20,40
-    prev = w;
-  }
-  // Identical seeds produce identical jitter streams.
-  RetrySchedule a(params, 7), b(params, 7);
-  for (int round = 1; round <= 4; ++round) {
-    EXPECT_EQ(a.WaitMs(round), b.WaitMs(round));
-  }
-}
-
-TEST(RetryScheduleTest, JitteredWaitNeverExceedsCap) {
-  // Regression: jitter used to be applied *after* the max_backoff_ms
-  // clamp, so once the exponential curve hit the cap every upward jitter
-  // draw produced a wait above it (by up to jitter_frac). Sweep rounds x
-  // jitter fractions x seeds and assert the cap is a hard ceiling.
-  for (double jitter : {0.0, 0.1, 0.2, 0.5, 0.9}) {
-    RetryParams params;
-    params.max_retries = 12;
-    params.backoff_base_ms = 5;
-    params.backoff_multiplier = 2.0;
-    params.max_backoff_ms = 40;
-    params.jitter_frac = jitter;
-    for (std::uint64_t seed = 0; seed < 50; ++seed) {
-      RetrySchedule sched(params, seed);
-      for (int round = 1; round <= 12; ++round) {
-        const double w = sched.WaitMs(round);
-        EXPECT_LE(w, params.max_backoff_ms)
-            << "jitter=" << jitter << " seed=" << seed << " round=" << round;
-        EXPECT_GE(w, 0.0);
-      }
-    }
-  }
-  // Below the cap the jitter range is preserved: round 1 at base 5 with
-  // jitter 0.5 stays inside [2.5, 7.5] rather than being clamped early.
-  RetryParams params;
-  params.max_retries = 2;
-  params.backoff_base_ms = 5;
-  params.max_backoff_ms = 40;
-  params.jitter_frac = 0.5;
-  double lo = 1e9, hi = 0;
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    RetrySchedule sched(params, seed);
-    const double w = sched.WaitMs(1);
-    lo = std::min(lo, w);
-    hi = std::max(hi, w);
-  }
-  EXPECT_GE(lo, 2.5);
-  EXPECT_LE(hi, 7.5);
-  EXPECT_GT(hi, 6.0);  // Upward jitter actually occurs.
-  EXPECT_LT(lo, 4.0);  // Downward jitter actually occurs.
 }
 
 // ---------------------------------------------------------------------------

@@ -68,9 +68,6 @@ TEST(ChaosTest, ZeroDataLossUnderCrashFlapErrorsAndCorruption) {
   config.scrub_every_ticks = 4;
   config.data_plane.workers_per_site = 2;
   config.data_plane.fetch_deadline_ms = 40.0;
-  config.data_plane.retry.max_retries = 3;
-  config.data_plane.retry.backoff_base_ms = 2.0;
-  config.data_plane.retry.max_backoff_ms = 20.0;
   LocalECStore store(config);
 
   // Load phase: 120 blocks of 4 KB with known contents.
@@ -268,9 +265,6 @@ TEST(ChaosTest, CacheStaysCoherentUnderCrashFlapErrorsAndCorruption) {
   config.scrub_every_ticks = 4;
   config.data_plane.workers_per_site = 2;
   config.data_plane.fetch_deadline_ms = 40.0;
-  config.data_plane.retry.max_retries = 3;
-  config.data_plane.retry.backoff_base_ms = 2.0;
-  config.data_plane.retry.max_backoff_ms = 20.0;
   // The latency tier, all on: a cache big enough to hold a good slice of
   // the working set, prefetch chasing co-access partners, and a replica
   // budget that lets the promoter rewrite layouts mid-storm.
@@ -462,9 +456,6 @@ TEST(ChaosTest, MixedCodecFamiliesSurviveCrashErrorsAndCorruption) {
   config.scrub_every_ticks = 4;
   config.data_plane.workers_per_site = 2;
   config.data_plane.fetch_deadline_ms = 40.0;
-  config.data_plane.retry.max_retries = 3;
-  config.data_plane.retry.backoff_base_ms = 2.0;
-  config.data_plane.retry.max_backoff_ms = 20.0;
   LocalECStore store(config);
 
   // Block id -> codec family, round-robin over the four families (empty
@@ -651,9 +642,6 @@ TEST(ChaosTest, OverloadStormShedsBreaksAndRecovers) {
   // Generous fetch deadline: the degraded site serves ~200 ms fetches,
   // which late binding cancels as stragglers rather than timing out.
   config.data_plane.fetch_deadline_ms = 400.0;
-  config.data_plane.retry.max_retries = 3;
-  config.data_plane.retry.backoff_base_ms = 2.0;
-  config.data_plane.retry.max_backoff_ms = 20.0;
   // Small rotation window so the slow site's histogram forgets the bad
   // regime from probe traffic alone once the site heals — the breaker
   // can then close within the test's drain phase.

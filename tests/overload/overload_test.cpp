@@ -371,7 +371,7 @@ TEST(SimOverloadTest, AdmissionGateShedsAndReleasesTokens) {
   EXPECT_EQ(shed, 2);
   // Sheds fail fast: the modeled penalty, orders of magnitude under a
   // served request.
-  EXPECT_LE(shed_total, 2 * FromMillis(config.overload.shed_penalty_ms));
+  EXPECT_LE(shed_total, 2 * kShedPenalty);
   EXPECT_EQ(store.Usage().requests_shed, 2u);
 
   // The completed request returned its token: a new request is admitted.

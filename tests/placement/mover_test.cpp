@@ -78,7 +78,7 @@ TEST_F(MoverFixture, MovementScoreCombinesWithWeights) {
   MoverParams mp;
   mp.w1 = 1.0;
   mp.w2 = 3.0;
-  const double e = EstimateAccessGain(ctx_, 1, 4, 3, mp.max_partners);
+  const double e = EstimateAccessGain(ctx_, 1, 4, 3, kMoverPartners);
   const double i = EstimateLoadGain(ctx_, 1, 4, 3);
   EXPECT_NEAR(MovementScore(ctx_, 1, 4, 3, mp), e + 3.0 * i, 1e-9);
 }
